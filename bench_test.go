@@ -921,11 +921,14 @@ func BenchmarkServeLoadReport(b *testing.B) {
 		}
 	}
 	doc := document{
-		Description: "Open-loop (Poisson) load against the HTTP serving tier: cache-cold (fresh seed per request, every request computes), cache-warm (repeated URL, served from the fingerprint cache), deliberate saturation of a 1-slot/2-queue server (must shed with 429 + Retry-After while the p99 of admitted requests stays bounded by the configured deadlines), warm-restart (a store-backed server torn down and rebuilt against the same -store directory; the first request after each restart must be a persistent-store hit within 5x of the in-memory warm p50 and at least 20x faster than recomputation), and instrumentation-overhead (the cache-warm mix with the observability layer — metrics registry + request tracing — enabled; its warm p50 must stay within 5% of the uninstrumented warm p50, plus a 1ms timer-noise allowance).",
+		Description: "Open-loop (Poisson) load against the HTTP serving tier: cache-cold (fresh fig4 seed or fig7 bucket count per request, every request computes), cache-warm (repeated URL, served from the fingerprint cache), deliberate saturation of a 1-slot/2-queue server (must shed with 429 + Retry-After while the p99 of admitted requests stays bounded by the configured deadlines), warm-restart (a store-backed server torn down and rebuilt against the same -store directory; the first request after each restart must be a persistent-store hit within 5x of the in-memory warm p50 and at least 20x faster than recomputation), and instrumentation-overhead (the cache-warm mix with the observability layer — metrics registry + request tracing — enabled; its warm p50 must stay within 5% of the uninstrumented warm p50, plus a 1ms timer-noise allowance).",
 		Bits:        benchBits,
 	}
-	seedParam := func(r *rand.Rand) url.Values {
-		return url.Values{"seed": {fmt.Sprint(r.Intn(1 << 30))}}
+	// fig7 honours buckets, so a fresh bucket count per request keys a fresh
+	// computation; an experiment that ignores a parameter answers from cache
+	// however it is varied.
+	bucketsParam := func(r *rand.Rand) url.Values {
+		return url.Values{"buckets": {fmt.Sprint(1 + r.Intn(1<<10))}}
 	}
 	for i := 0; i < b.N; i++ {
 		doc.Rows = doc.Rows[:0]
@@ -949,7 +952,7 @@ func BenchmarkServeLoadReport(b *testing.B) {
 			Seed:     1,
 			Mix: loadgen.Mix{Endpoints: []loadgen.Endpoint{
 				{ID: "fig4", Weight: 1, Params: fig4Cold},
-				{ID: "table5", Weight: 1, Params: seedParam},
+				{ID: "fig7", Weight: 1, Params: bucketsParam},
 			}},
 		})
 		if err != nil {
@@ -1248,7 +1251,7 @@ func BenchmarkNetworkReplay(b *testing.B) {
 				if ceiling := cfg.Machine.LinkEPRPerMs(); cfg.LinkEPRPerMs > ceiling {
 					cfg.LinkEPRPerMs = ceiling
 				}
-				cfg.LinkBufferPairs = core.DefaultBufferAncillae
+				cfg.LinkBufferPairs = float64(core.DefaultRunParams().Buffer)
 				t0 := time.Now()
 				run, err := network.Replay(c, cfg)
 				elapsed := time.Since(t0)
@@ -1345,7 +1348,7 @@ func BenchmarkNetworkFaultReplay(b *testing.B) {
 	if ceiling := cfg.Machine.LinkEPRPerMs(); cfg.LinkEPRPerMs > ceiling || cfg.LinkEPRPerMs <= 0 {
 		cfg.LinkEPRPerMs = ceiling
 	}
-	cfg.LinkBufferPairs = core.DefaultBufferAncillae
+	cfg.LinkBufferPairs = float64(core.DefaultRunParams().Buffer)
 
 	var row faultRow
 	for i := 0; i < b.N; i++ {

@@ -8,19 +8,9 @@
 //	qsd serve [flags]
 //	qsd loadtest [flags]
 //
-// Experiments: table1, table2, table3, table4, table5, table6, table7,
-// table8, table9, fig4, fig7, fig8, fig15, fowler, shor, simple-factory,
-// zero-factory, pi8-factory, qalypso, all, plus the event-driven scenarios
-// fig15buf (Figure 15 with finite ancilla buffers), buffersweep (execution
-// time vs buffer capacity), contention (co-scheduled benchmarks sharing one
-// factory bank), factory-sim (factory pipelines on the event kernel),
-// netsweep (the teleportation interconnect's link-bandwidth × tile-count
-// grid), netcontention (co-scheduled benchmarks sharing one routed mesh),
-// netfault (the benchmark replayed under dead and degraded EPR links with
-// fault-aware rerouting) and netdegrade (link failures swept until the mesh
-// partitions); -buffer sets the finite buffer capacity (0 = infinite),
-// -tiles bounds the network scenarios' mesh size and -faults bounds the
-// netdegrade failure sweep.
+// Running qsd without arguments prints every experiment with its aliases
+// and honoured run parameters, and every flag; the run-parameter flags are
+// generated from the parameter table in internal/core.
 //
 // Every experiment runs as a job batch on the shared experiment engine
 // (internal/engine): -parallel selects the worker count, a progress line on
@@ -88,11 +78,8 @@ import (
 	"speedofdata/internal/core"
 	"speedofdata/internal/engine"
 	"speedofdata/internal/loadgen"
-	"speedofdata/internal/microarch"
-	"speedofdata/internal/noise"
 	"speedofdata/internal/obs"
 	"speedofdata/internal/report"
-	"speedofdata/internal/schedule"
 	"speedofdata/internal/server"
 	"speedofdata/internal/store"
 )
@@ -106,20 +93,8 @@ func main() {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("qsd", flag.ContinueOnError)
-	bits := fs.Int("bits", 32, "benchmark operand width")
-	trials := fs.Int("trials", noise.DefaultTrials, "Monte Carlo trials for fig4")
-	seed := fs.Int64("seed", 1, "Monte Carlo seed for fig4")
-	sparse := fs.Bool("sparse", false, "use the sparse Monte Carlo sampler for fig4 (faster, statistically equivalent; the default dense sampler is byte-reproducible)")
-	bitsliced := fs.Bool("bitsliced", false, "use the bit-sliced Monte Carlo executor for fig4 (64 trials per word op, statistically equivalent; mutually exclusive with -sparse)")
-	ci := fs.Float64("ci", 0, "fig4 sequential sampling: run the bit-sliced executor until the uncorrectable rate's relative confidence-interval half-width reaches this value, capped at -trials (0 = fixed -trials budget; mutually exclusive with -sparse)")
-	conf := fs.Float64("conf", 0, "confidence level for -ci (0 = 0.95)")
-	buckets := fs.Int("buckets", schedule.DefaultDemandBuckets, "time buckets for fig7")
-	maxScale := fs.Int("max-scale", microarch.DefaultMaxScale, "largest resource scale for fig15")
-	benchName := fs.String("benchmark", "QCLA", "benchmark for fig15/fig15buf/buffersweep (QRCA, QCLA, QFT)")
-	arch := fs.String("arch", "", "restrict fig15/fig15buf/buffersweep to one architecture (QLA, GQLA, CQLA, GCQLA, Fully-Multiplexed)")
-	buffer := fs.Int("buffer", core.DefaultBufferAncillae, "buffer capacity for fig15buf/contention/factory-sim/netsweep/netcontention (0 = infinite)")
-	tiles := fs.Int("tiles", core.DefaultTiles, "mesh tile bound for netsweep/netcontention/netfault/netdegrade")
-	faults := fs.Int("faults", core.DefaultFaults, "netdegrade: boundary failures swept (capped at the mesh's boundary count)")
+	set := core.DefaultSettings()
+	set.BindFlags(fs)
 	format := fs.String("format", "text", "output format: text, json or csv")
 	parallel := fs.Int("parallel", 0, "experiment engine workers (0 = GOMAXPROCS, 1 = sequential)")
 	progress := fs.Bool("progress", true, "print a job progress line on stderr")
@@ -183,13 +158,9 @@ func run(args []string, out *os.File) error {
 		}()
 	}
 	e := core.NewExperiments()
-	e.Bits = *bits
+	e.Bits = set.Bits
 	e.Engine = eng
-	p := core.RunParams{Trials: *trials, Seed: *seed, Sparse: *sparse, BitSliced: *bitsliced,
-		CI: *ci, Conf: *conf, Buckets: *buckets,
-		MaxScale: *maxScale, Benchmark: *benchName, Arch: *arch, Buffer: *buffer, Tiles: *tiles,
-		Faults: *faults}
-	if err := p.Validate(); err != nil {
+	if err := set.Validate(); err != nil {
 		return err
 	}
 
@@ -222,7 +193,7 @@ func run(args []string, out *os.File) error {
 		// slow-drip connections can't exhaust the listener.  No WriteTimeout:
 		// /v1/progress streams indefinitely.
 		eng.CacheLimit = 1 << 14
-		h := server.NewWithConfig(e, p, cfg)
+		h := server.NewWithConfig(e, set.RunParams, cfg)
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
 			return err
@@ -252,7 +223,7 @@ func run(args []string, out *os.File) error {
 			// Spin an in-process server on a loopback port: the loadtest then
 			// measures this build end to end with no external dependency.
 			eng.CacheLimit = 1 << 14
-			h := server.NewWithConfig(e, p, cfg)
+			h := server.NewWithConfig(e, set.RunParams, cfg)
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				return err
@@ -271,7 +242,7 @@ func run(args []string, out *os.File) error {
 			BaseURL:  base,
 			Rate:     *ltRate,
 			Duration: *ltDuration,
-			Seed:     *seed,
+			Seed:     set.Seed,
 			Mix:      mix,
 		})
 		if err != nil {
@@ -296,7 +267,7 @@ func run(args []string, out *os.File) error {
 		return fmt.Errorf("unknown experiment %q", id)
 	}
 
-	doc, err := core.RunReport(context.Background(), e, p, ids)
+	doc, err := core.RunReport(context.Background(), e, set.RunParams, ids)
 	if err != nil {
 		return err
 	}
@@ -339,7 +310,8 @@ func serveUntilShutdown(ctx context.Context, ln net.Listener, h *server.Server, 
 // parseMix expands a "-lt-mix" spec into a loadgen mix.  Each comma-separated
 // entry is "id[?query]:weight"; the optional query is fixed on every request
 // to that endpoint, and a fresh random seed parameter is added to non-replay
-// requests so a cache-cold mix defeats the fingerprint cache.
+// requests so a cache-cold mix defeats the fingerprint cache of experiments
+// that honour seed (fig4); the others ignore it and answer from cache.
 func parseMix(spec string, cacheHit, sse float64) (loadgen.Mix, error) {
 	mix := loadgen.Mix{CacheHit: cacheHit, SSE: sse}
 	for _, entry := range strings.Split(spec, ",") {
@@ -429,13 +401,17 @@ func clearProgress(w *os.File, enabled bool) {
 	}
 }
 
+// usage lists the subcommands, every registered experiment with its
+// aliases and the run parameters it honours, and the flags; the
+// run-parameter flags come from the parameter table in internal/core.
 func usage(fs *flag.FlagSet) {
-	fmt.Fprintln(os.Stderr, "usage: qsd <experiment> [flags]")
-	fmt.Fprintln(os.Stderr, "       qsd serve [flags]")
-	fmt.Fprintln(os.Stderr, "       qsd loadtest [flags]")
-	fmt.Fprintln(os.Stderr, "experiments: table1..table9, fig4, fig7, fig8, fig15, fowler, shor,")
-	fmt.Fprintln(os.Stderr, "             simple-factory, zero-factory, pi8-factory, qalypso, all,")
-	fmt.Fprintln(os.Stderr, "             fig15buf, buffersweep, contention, factory-sim (event-driven),")
-	fmt.Fprintln(os.Stderr, "             netsweep, netcontention (teleportation interconnect)")
+	w := fs.Output()
+	fmt.Fprintln(w, "usage: qsd <experiment> [flags]\n       qsd serve [flags]\n       qsd loadtest [flags]")
+	fmt.Fprintf(w, "experiments (id|aliases, [run parameters honoured]; all = %s):\n", strings.Join(core.AllExperimentOrder, " "))
+	for _, info := range core.ExperimentInfos() {
+		ids := strings.Join(append([]string{info.ID}, info.Aliases...), "|")
+		fmt.Fprintf(w, "  %-28s %s [%s]\n", ids, info.Title, strings.Join(info.Params, " "))
+	}
+	fmt.Fprintln(w, "flags (the run parameters are also /v1/experiments query parameters):")
 	fs.PrintDefaults()
 }

@@ -54,6 +54,39 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
+// TestUsageListsExperimentsAndParams runs qsd without arguments and checks
+// the generated usage names every registered experiment (every
+// ExperimentIDs id, with its aliases) and every row of the parameter table.
+func TestUsageListsExperimentsAndParams(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "usage-*.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	err = run(nil, f)
+	os.Stderr = stderr
+	if err == nil {
+		t.Fatal("qsd without an experiment id succeeded")
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(out)
+	for _, info := range core.ExperimentInfos() {
+		if ids := strings.Join(append([]string{info.ID}, info.Aliases...), "|"); !strings.Contains(text, "  "+ids+" ") {
+			t.Errorf("usage misses experiment %q with its aliases", info.ID)
+		}
+	}
+	for _, p := range core.Params() {
+		if !strings.Contains(text, "  -"+p.Name+" ") && !strings.Contains(text, "  -"+p.Name+"\n") {
+			t.Errorf("usage misses parameter -%s", p.Name)
+		}
+	}
+}
+
 // TestLoadtestInProcess runs the loadtest subcommand end to end against its
 // own in-process server and checks the JSON report it prints.
 func TestLoadtestInProcess(t *testing.T) {

@@ -51,7 +51,7 @@ func (e Experiments) ctx() context.Context {
 // NewExperiments returns a sequential experiment runner with the paper's
 // parameters.
 func NewExperiments() Experiments {
-	return Experiments{Options: DefaultOptions(), Bits: 32, Engine: engine.Sequential()}
+	return Experiments{Options: DefaultOptions(), Bits: DefaultSettings().Bits, Engine: engine.Sequential()}
 }
 
 // NewParallelExperiments returns an experiment runner whose sweeps and Monte

@@ -14,89 +14,30 @@ import (
 	"speedofdata/internal/microarch"
 	"speedofdata/internal/noise"
 	"speedofdata/internal/report"
-	"speedofdata/internal/schedule"
 )
 
-// RunParams carries the per-request experiment settings shared by the qsd
-// command-line flags and the HTTP API query parameters.  Every field has a
-// stable %v rendering, so a RunParams value participates directly in engine
-// job fingerprints: two requests with equal parameters map to the same job
-// key and the second is served from the engine cache (or coalesced onto the
-// first while it is still running).
+// RunParams carries the per-request experiment settings.  Each field is a
+// row of the parameter table (params.go), which documents, defaults,
+// checks and bounds it.
 type RunParams struct {
-	// Trials is the Monte Carlo effort for fig4.
-	Trials int
-	// Seed is the Monte Carlo seed for fig4.
-	Seed int64
-	// Buckets is the time-bucket count for fig7.
-	Buckets int
-	// MaxScale is the largest resource scale swept for fig15.
-	MaxScale int
-	// Benchmark selects the fig15 kernel (QRCA, QCLA or QFT).
+	Trials    int
+	Seed      int64
+	Buckets   int
+	MaxScale  int
 	Benchmark string
-	// Arch optionally restricts fig15 to one architecture ("" = all).
-	Arch string
-	// Buffer is the buffer capacity for the finite-buffer scenarios
-	// (fig15buf, contention: encoded ancillae per source; factory-sim:
-	// physical qubits per crossbar; netsweep, netcontention: EPR pairs per
-	// link channel).  Zero means infinite.
-	Buffer int
-	// Tiles is the mesh tile bound for the network scenarios: netsweep
-	// sweeps tile counts in powers of two up to it, netcontention, netfault
-	// and netdegrade run one mesh planned for exactly this many tiles.
-	Tiles int
-	// Faults is the boundary-failure bound of netdegrade: the sweep kills
-	// mesh boundaries one by one up to this count (capped at the mesh's
-	// boundary total).
-	Faults int
-	// Sparse switches the fig4 Monte Carlo to the sparse fault-set sampler
-	// (geometric skipping, fault-free trials short-circuited).  The default
-	// dense sampler is byte-identical across releases for a seed; sparse is
-	// statistically equivalent and much faster at physical error rates.
-	Sparse bool
-	// BitSliced switches the fig4 Monte Carlo to the bit-sliced executor
-	// (64 trials per word operation).  Statistically equivalent to dense
-	// and sparse; mutually exclusive with Sparse.
+	Arch      string
+	Buffer    int
+	Tiles     int
+	Faults    int
+	Sparse    bool
 	BitSliced bool
-	// CI, when positive, switches fig4 to sequential sampling: run the
-	// bit-sliced executor until the uncorrectable rate's Wilson interval
-	// reaches this relative half-width (or Trials is spent), streaming
-	// refining partial estimates.  Mutually exclusive with Sparse.
-	CI float64
-	// Conf is the confidence level of the CI stopping rule (0 means
-	// noise.DefaultConfidence).  Requires CI.
-	Conf float64
+	CI        float64
+	Conf      float64
 }
 
-// DefaultBufferAncillae is the standard finite buffer capacity of the
-// event-driven scenarios, in encoded ancillae per source.
-const DefaultBufferAncillae = 16
-
-// DefaultTiles is the standard mesh tile bound of the network scenarios.
-const DefaultTiles = 4
-
-// DefaultFaults is the standard boundary-failure bound of netdegrade: on the
-// default 2x2 mesh it sweeps past the partition point.
-const DefaultFaults = 4
-
-// DefaultRunParams returns the paper's standard settings.
-func DefaultRunParams() RunParams {
-	return RunParams{
-		Trials:    noise.DefaultTrials,
-		Seed:      1,
-		Buckets:   schedule.DefaultDemandBuckets,
-		MaxScale:  microarch.DefaultMaxScale,
-		Benchmark: circuits.QCLA.String(),
-		Buffer:    DefaultBufferAncillae,
-		Tiles:     DefaultTiles,
-		Faults:    DefaultFaults,
-	}
-}
-
-// SamplingConflictError reports a request that selects mutually exclusive
-// fig4 sampling modes.  It lists the allowed combinations so CLI and HTTP
-// users see how to fix the request rather than having one selector silently
-// win.
+// SamplingConflictError reports a request selecting mutually exclusive fig4
+// sampling modes.  It lists the allowed combinations so CLI and HTTP users
+// see how to fix the request rather than one selector silently winning.
 type SamplingConflictError struct {
 	// Selected are the conflicting selectors as their flag/query spellings.
 	Selected []string
@@ -107,73 +48,18 @@ func (e *SamplingConflictError) Error() string {
 		strings.Join(e.Selected, "+"))
 }
 
-// Validate rejects parameter combinations no experiment can run.
-func (p RunParams) Validate() error {
-	if p.Trials <= 0 {
-		return fmt.Errorf("trials must be positive, got %d", p.Trials)
-	}
-	// Sparse cannot combine with the bit-sliced executor or the CI mode
-	// (which implies bit-sliced); ci+bitsliced is redundant but consistent,
-	// so it stays allowed.
-	if p.Sparse && (p.BitSliced || p.CI > 0) {
-		conflict := []string{"sparse"}
-		if p.BitSliced {
-			conflict = append(conflict, "bitsliced")
-		}
-		if p.CI > 0 {
-			conflict = append(conflict, "ci")
-		}
-		return &SamplingConflictError{Selected: conflict}
-	}
-	if p.CI < 0 || p.CI >= 1 {
-		return fmt.Errorf("ci must be a relative half-width in (0, 1), or 0 for a fixed trial budget; got %v", p.CI)
-	}
-	if p.Conf != 0 {
-		if p.CI == 0 {
-			return fmt.Errorf("conf requires ci (a confidence level needs a half-width target)")
-		}
-		if p.Conf < 0 || p.Conf >= 1 {
-			return fmt.Errorf("conf must be a confidence level in (0, 1), got %v", p.Conf)
-		}
-	}
-	if p.Buckets <= 0 {
-		return fmt.Errorf("buckets must be positive, got %d", p.Buckets)
-	}
-	if p.MaxScale <= 0 {
-		return fmt.Errorf("max scale must be positive, got %d", p.MaxScale)
-	}
-	if _, err := circuits.ParseBenchmark(p.Benchmark); err != nil {
-		return err
-	}
-	if p.Arch != "" {
-		if _, err := microarch.ParseArchitecture(p.Arch); err != nil {
-			return err
-		}
-	}
-	if p.Buffer < 0 {
-		return fmt.Errorf("buffer must be non-negative (0 = infinite), got %d", p.Buffer)
-	}
-	if p.Tiles <= 0 {
-		return fmt.Errorf("tiles must be positive, got %d", p.Tiles)
-	}
-	if p.Faults < 0 {
-		return fmt.Errorf("faults must be non-negative, got %d", p.Faults)
-	}
-	return nil
-}
-
 // ExperimentInfo describes one registered experiment for listings (the qsd
 // usage text and the HTTP API index).
 type ExperimentInfo struct {
 	// ID is the canonical experiment id.
-	ID string
+	ID string `json:"id"`
 	// Title is the human-readable name (the paper table/figure it renders).
-	Title string
+	Title string `json:"title"`
 	// Aliases are alternate ids accepted for the same experiment.
-	Aliases []string
-	// Params names the RunParams fields the experiment honours, as their
-	// flag/query spellings.
-	Params []string
+	Aliases []string `json:"aliases,omitempty"`
+	// Params names the parameter-table rows the experiment honours; only
+	// these enter its job key.
+	Params []string `json:"params,omitempty"`
 }
 
 // renderFunc regenerates one experiment as a structured report section.
@@ -389,12 +275,11 @@ func RunExperiment(e Experiments, id string, p RunParams) (report.Section, error
 func RunReport(ctx context.Context, e Experiments, p RunParams, ids []string) (report.Document, error) {
 	jobs := make([]engine.Job[report.Section], len(ids))
 	for i, id := range ids {
-		id := id
 		if _, ok := CanonicalExperimentID(id); !ok {
 			return report.Document{}, fmt.Errorf("unknown experiment %q", id)
 		}
 		jobs[i] = engine.Job[report.Section]{
-			Key: engine.Fingerprint("qsd", id, e.Bits, p),
+			Key: JobKey(id, Settings{Bits: e.Bits, RunParams: p}),
 			Run: func(ctx context.Context, _ *rand.Rand) (report.Section, error) {
 				// Bound the experiment's nested batches by the batch context
 				// so cancelling the request stops the inner sweeps too.

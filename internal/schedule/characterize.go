@@ -188,11 +188,6 @@ type DemandPoint struct {
 	Pi8Ancillae  int
 }
 
-// DefaultDemandBuckets is the standard bucket count for Figure 7 demand
-// profiles, matching the paper's plot resolution.  The qsd CLI (-buckets)
-// and the HTTP API (?buckets=) both default to it.
-const DefaultDemandBuckets = 20
-
 // DemandProfile computes the Figure 7 profile: the number of encoded
 // ancillae that must be delivered in each time bucket for the circuit to run
 // at the speed of data.

@@ -332,7 +332,7 @@ func TestSSECarriesTraceID(t *testing.T) {
 
 	traceID := make(chan string, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + fmt.Sprintf("/v1/experiments/table5?bits=%d", 26))
+		resp, err := http.Get(ts.URL + fmt.Sprintf("/v1/experiments/table2?bits=%d", 26))
 		if err == nil {
 			traceID <- resp.Header.Get("X-Trace-Id")
 			io.Copy(io.Discard, resp.Body)

@@ -12,17 +12,10 @@
 //
 //	/v1/experiments            list every experiment with its parameters
 //	/v1/experiments/{id}       run one experiment (or "all"); parameters:
-//	                           format (json, csv, text; default json),
-//	                           bits, trials, seed, buckets, benchmark,
-//	                           scale (alias max-scale), arch, buffer
-//	                           (ancilla/EPR buffer capacity of the
-//	                           event-driven scenarios; 0 = infinite), tiles
-//	                           (mesh tile bound of the network scenarios),
-//	                           faults (netdegrade boundary-failure bound),
-//	                           sparse / bitsliced (fig4 Monte Carlo
-//	                           executor), ci + conf (fig4 sequential
-//	                           sampling to a relative confidence-interval
-//	                           half-width, capped at trials)
+//	                           format (json, csv, text; default json) and
+//	                           the run parameters of core.Params (the
+//	                           qsd flags of the same names); any other
+//	                           name is a 400 listing the allowed ones
 //	/v1/progress               SSE stream of engine job completions
 //	                           ("job" events) and refining partial
 //	                           estimates of sequential-sampling runs
@@ -46,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 
 	"speedofdata/internal/core"
@@ -150,158 +142,28 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// listedExperiment is one entry of the /v1/experiments index.
-type listedExperiment struct {
-	ID      string   `json:"id"`
-	Title   string   `json:"title"`
-	Aliases []string `json:"aliases,omitempty"`
-	Params  []string `json:"params,omitempty"`
-	Path    string   `json:"path"`
-}
-
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	infos := core.ExperimentInfos()
-	out := struct {
-		Experiments []listedExperiment `json:"experiments"`
-	}{Experiments: make([]listedExperiment, 0, len(infos))}
-	for _, info := range infos {
-		out.Experiments = append(out.Experiments, listedExperiment{
-			ID:      info.ID,
-			Title:   info.Title,
-			Aliases: info.Aliases,
-			Params:  info.Params,
-			Path:    "/v1/experiments/" + info.ID,
-		})
+	type listed struct {
+		core.ExperimentInfo
+		Path string `json:"path"`
+	}
+	var out struct {
+		Experiments []listed `json:"experiments"`
+	}
+	for _, info := range core.ExperimentInfos() {
+		out.Experiments = append(out.Experiments, listed{info, "/v1/experiments/" + info.ID})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// queryParams overlays the request's query string on the server defaults.
-// It returns the experiment runner (bits applied) and the run parameters.
+// queryParams overlays the request's query on the server defaults with
+// core.ParseQuery, returning the runner (bits applied) and run parameters.
 func (s *Server) queryParams(r *http.Request) (core.Experiments, core.RunParams, error) {
-	exp, p := s.exp, s.defaults
-	q := r.URL.Query()
-	fail := func(name string, err error) (core.Experiments, core.RunParams, error) {
-		return exp, p, fmt.Errorf("invalid %s: %v", name, err)
-	}
-	intParam := func(name string, dst *int) error {
-		if v := q.Get(name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("invalid %s: %v", name, err)
-			}
-			*dst = n
-		}
-		return nil
-	}
-	for name, dst := range map[string]*int{
-		"bits":    &exp.Bits,
-		"trials":  &p.Trials,
-		"buckets": &p.Buckets,
-		"buffer":  &p.Buffer,
-		"tiles":   &p.Tiles,
-		"faults":  &p.Faults,
-	} {
-		if err := intParam(name, dst); err != nil {
-			return exp, p, err
-		}
-	}
-	// "scale" is the documented spelling; "max-scale" matches the CLI flag.
-	for _, name := range []string{"max-scale", "scale"} {
-		if err := intParam(name, &p.MaxScale); err != nil {
-			return exp, p, err
-		}
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fail("seed", err)
-		}
-		p.Seed = n
-	}
-	for name, dst := range map[string]*bool{
-		"sparse":    &p.Sparse,
-		"bitsliced": &p.BitSliced,
-	} {
-		if v := q.Get(name); v != "" {
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return fail(name, err)
-			}
-			*dst = b
-		}
-	}
-	for name, dst := range map[string]*float64{
-		"ci":   &p.CI,
-		"conf": &p.Conf,
-	} {
-		if v := q.Get(name); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return fail(name, err)
-			}
-			*dst = f
-		}
-	}
-	if v := q.Get("benchmark"); v != "" {
-		p.Benchmark = v
-	}
-	if v := q.Get("arch"); v != "" {
-		p.Arch = v
-	}
-	if exp.Bits <= 0 {
-		return exp, p, fmt.Errorf("invalid bits: must be positive, got %d", exp.Bits)
-	}
-	if err := p.Validate(); err != nil {
-		return exp, p, err
-	}
-	// Upper bounds on client-controlled effort.  The CLI may run arbitrarily
-	// heavy experiments on the operator's own machine; HTTP clients may not
-	// pin the shared worker pool for hours with one request.
-	for _, lim := range []struct {
-		name string
-		got  int
-		max  int
-	}{
-		{"bits", exp.Bits, maxBits},
-		{"trials", p.Trials, maxTrials},
-		{"buckets", p.Buckets, maxBuckets},
-		{"scale", p.MaxScale, maxRequestScale},
-		{"buffer", p.Buffer, maxRequestBuffer},
-		{"tiles", p.Tiles, maxRequestTiles},
-		{"faults", p.Faults, maxRequestFaults},
-	} {
-		if lim.got > lim.max {
-			return exp, p, fmt.Errorf("invalid %s: %d exceeds the server limit %d", lim.name, lim.got, lim.max)
-		}
-	}
-	// Sequential sampling runs until its Wilson interval converges or the
-	// trials cap is spent; a very tight half-width target on a shared server
-	// is an effort bomb (the cap itself is already bounded by maxTrials).
-	if p.CI > 0 && p.CI < minRequestCI {
-		return exp, p, fmt.Errorf("invalid ci: %v is below the server minimum %v", p.CI, minRequestCI)
-	}
-	if p.Conf > maxRequestConfidence {
-		return exp, p, fmt.Errorf("invalid conf: %v exceeds the server maximum %v", p.Conf, maxRequestConfidence)
-	}
-	return exp, p, nil
+	set, err := core.ParseQuery(r.URL.RawQuery, core.Settings{Bits: s.exp.Bits, RunParams: s.defaults}, "format")
+	exp := s.exp
+	exp.Bits = set.Bits
+	return exp, set.RunParams, err
 }
-
-// Per-request effort limits enforced by queryParams.
-const (
-	maxBits          = 128
-	maxTrials        = 10_000_000
-	maxBuckets       = 100_000
-	maxRequestScale  = 4096
-	maxRequestBuffer = 1_000_000
-	maxRequestTiles  = 64
-	maxRequestFaults = 64
-	// minRequestCI and maxRequestConfidence bound the sequential-sampling
-	// precision a client may request (both tighten the stopping rule; the
-	// trial cap still bounds the worst case at maxTrials).
-	minRequestCI         = 0.001
-	maxRequestConfidence = 0.999
-)
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	// Rate limiting runs before any parsing: a throttled client should pay

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -120,14 +122,46 @@ func TestRepeatedRequestServedFromCache(t *testing.T) {
 		t.Errorf("second request recomputed: misses %d -> %d", misses0, misses1)
 	}
 
-	// Different parameters must not be served from the same cache entry.
-	status, _, _ = get(t, ts.URL+"/v1/experiments/table5?format=json&bits=16")
+	// A parameter the experiment honours must not be served from the same
+	// cache entry: table2 renders at the requested operand width.
+	status, _, _ = get(t, ts.URL+"/v1/experiments/table2?format=json&bits=16")
 	if status != http.StatusOK {
 		t.Fatalf("bits=16 request: %d", status)
 	}
-	_, misses2 := exp.Engine.CacheStats()
+	hits2, misses2 := exp.Engine.CacheStats()
 	if misses2 == misses1 {
 		t.Error("changed parameters should have computed fresh jobs")
+	}
+
+	// Parameters table5 ignores stay out of its key: the same entry answers.
+	status, third, _ := get(t, ts.URL+"/v1/experiments/table5?format=json&trials=7&tiles=3")
+	if status != http.StatusOK {
+		t.Fatalf("ignored-params request: %d %s", status, third)
+	}
+	hits3, misses3 := exp.Engine.CacheStats()
+	if third != first || hits3 != hits2+1 || misses3 != misses2 {
+		t.Errorf("ignored params split the cache: hits %d -> %d, misses %d -> %d", hits2, hits3, misses2, misses3)
+	}
+}
+
+// TestIgnoredParamsShareOneEntry requests table5 bare and with three
+// parameters it does not honour: one top-level miss computes it, the other
+// three requests are single hits on that entry, and no entry is added.
+func TestIgnoredParamsShareOneEntry(t *testing.T) {
+	ts, exp := newTestServer(t)
+	if status, body, _ := get(t, ts.URL+"/v1/experiments/table5"); status != http.StatusOK {
+		t.Fatalf("table5: %d %s", status, body)
+	}
+	before := exp.Engine.Tiers()
+	for _, q := range []string{"trials=7", "trials=8", "tiles=3"} {
+		if status, body, _ := get(t, ts.URL+"/v1/experiments/table5?"+q); status != http.StatusOK {
+			t.Fatalf("table5?%s: %d %s", q, status, body)
+		}
+	}
+	after := exp.Engine.Tiers()
+	if after.MemoryHits != before.MemoryHits+3 || after.MemoryMisses != before.MemoryMisses ||
+		after.MemoryEntries != before.MemoryEntries {
+		t.Errorf("want 3 hits, 0 misses, 0 new entries; got tiers %+v -> %+v", before, after)
 	}
 }
 
@@ -186,6 +220,11 @@ func TestErrorResponses(t *testing.T) {
 		{"/v1/experiments/table1?bits=-3", http.StatusBadRequest},
 		{"/v1/experiments/fig4?trials=zillions", http.StatusBadRequest},
 		{"/v1/experiments/fig4?sparse=perhaps", http.StatusBadRequest},
+		{"/v1/experiments/table5?trials=0", http.StatusBadRequest},
+		{"/v1/experiments/table5?bogus=1", http.StatusBadRequest},
+		{"/v1/experiments/table1?%zz", http.StatusBadRequest},
+		{"/v1/experiments/fig15?scale=5&max-scale=6", http.StatusBadRequest},
+		{"/v1/experiments/fig4?trials=5&trials=6", http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		status, body, _ := get(t, ts.URL+c.url)
@@ -328,7 +367,7 @@ func TestProgressSSE(t *testing.T) {
 	// t.Fatal must not be called off the test goroutine.
 	time.Sleep(50 * time.Millisecond)
 	go func() {
-		resp, err := http.Get(ts.URL + fmt.Sprintf("/v1/experiments/table5?bits=%d", 24))
+		resp, err := http.Get(ts.URL + fmt.Sprintf("/v1/experiments/table2?bits=%d", 24))
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -392,13 +431,12 @@ func TestSparseSamplingParameter(t *testing.T) {
 	}
 }
 
-// TestParamBoundsTable is the single table covering every bounded
-// client-controlled parameter: each is probed one past its limit (rejected
-// with 400 naming the bound) and at its limit (accepted by queryParams — the
-// unit seam, so nothing heavy actually runs).  A closing coverage sweep
-// cross-checks the registry's advertised params and the admission Config
-// knobs against this table, so adding a parameter without a bound — or
-// without an explicit justification for having none — fails here.
+// TestParamBoundsTable probes every bounded row of the parameter table
+// (core.Params), so a new bounded row is probed automatically: one past its
+// limit (rejected with 400 naming the bound) and at its limit (accepted by
+// queryParams — the unit seam, so nothing heavy actually runs).  A row with
+// no bound needs an explicit justification, and the admission Config knobs
+// are cross-checked against the validation sweep the same way.
 func TestParamBoundsTable(t *testing.T) {
 	ts, _ := newTestServer(t)
 	exp := core.NewExperiments()
@@ -410,45 +448,8 @@ func TestParamBoundsTable(t *testing.T) {
 		return err
 	}
 
-	bounded := []struct {
-		param  string
-		over   string // query one past the bound: must be rejected
-		atMax  string // query at the bound: must be accepted
-		errStr string // substring the rejection must carry
-	}{
-		{"bits", fmt.Sprintf("bits=%d", maxBits+1), fmt.Sprintf("bits=%d", maxBits), "server limit"},
-		{"trials", fmt.Sprintf("trials=%d", maxTrials+1), fmt.Sprintf("trials=%d", maxTrials), "server limit"},
-		{"buckets", fmt.Sprintf("buckets=%d", maxBuckets+1), fmt.Sprintf("buckets=%d", maxBuckets), "server limit"},
-		{"scale", fmt.Sprintf("scale=%d", maxRequestScale+1), fmt.Sprintf("scale=%d", maxRequestScale), "server limit"},
-		{"max-scale", fmt.Sprintf("max-scale=%d", maxRequestScale+1), fmt.Sprintf("max-scale=%d", maxRequestScale), "server limit"},
-		{"buffer", fmt.Sprintf("buffer=%d", maxRequestBuffer+1), fmt.Sprintf("buffer=%d", maxRequestBuffer), "server limit"},
-		{"tiles", fmt.Sprintf("tiles=%d", maxRequestTiles+1), fmt.Sprintf("tiles=%d", maxRequestTiles), "server limit"},
-		{"faults", fmt.Sprintf("faults=%d", maxRequestFaults+1), fmt.Sprintf("faults=%d", maxRequestFaults), "server limit"},
-		{"ci", fmt.Sprintf("ci=%v", minRequestCI/2), fmt.Sprintf("ci=%v", minRequestCI), "server minimum"},
-		{"conf", fmt.Sprintf("ci=0.1&conf=%v", (1+maxRequestConfidence)/2), fmt.Sprintf("ci=0.1&conf=%v", maxRequestConfidence), "server maximum"},
-	}
-	for _, tc := range bounded {
-		// Over the bound: a real HTTP 400 naming the limit, before dispatch.
-		status, body, _ := get(t, ts.URL+"/v1/experiments/fig4?"+tc.over)
-		if status != http.StatusBadRequest {
-			t.Errorf("%s over bound (%s): status %d, want 400 (%s)", tc.param, tc.over, status, body)
-		}
-		if !strings.Contains(body, tc.errStr) {
-			t.Errorf("%s over bound: error should mention %q: %s", tc.param, tc.errStr, body)
-		}
-		// At the bound: queryParams accepts (unit seam — nothing executes).
-		if err := parse(tc.atMax); err != nil {
-			t.Errorf("%s at bound (%s): unexpectedly rejected: %v", tc.param, tc.atMax, err)
-		}
-	}
-
-	// Coverage sweep: every parameter any experiment advertises must either
-	// appear in the bounded table above or be explicitly justified here as
-	// unbounded.  A new registry param that is neither fails this test.
-	probed := map[string]bool{}
-	for _, tc := range bounded {
-		probed[tc.param] = true
-	}
+	// Every bounded row is probed under each spelling.  conf is only valid
+	// alongside ci (a cross-field rule), so the other probes carry ci=0.1.
 	unboundedOK := map[string]string{
 		"seed":      "any int64 costs the same effort",
 		"sparse":    "boolean selector",
@@ -456,10 +457,36 @@ func TestParamBoundsTable(t *testing.T) {
 		"benchmark": "validated against the registry's benchmark set",
 		"arch":      "validated against the registry's architecture set",
 	}
-	for _, info := range core.ExperimentInfos() {
-		for _, param := range info.Params {
-			if !probed[param] && unboundedOK[param] == "" {
-				t.Errorf("experiment %s advertises param %q with neither a bound probe nor an unbounded justification; extend TestParamBoundsTable", info.ID, param)
+	for _, p := range core.Params() {
+		if p.Max == 0 && p.Min == 0 {
+			if unboundedOK[p.Name] == "" {
+				t.Errorf("param %q has no server bound and no justification for having none; bound it or extend TestParamBoundsTable", p.Name)
+			}
+			continue
+		}
+		limit, errStr, step := p.Max, "server limit", 1.0
+		if p.Max == 0 {
+			limit, errStr, step = p.Min, "server minimum", -1
+		}
+		atMax := strconv.FormatFloat(limit, 'f', -1, 64)
+		errStr += " " + atMax // the rejection names the limit
+		over := strconv.FormatFloat(math.Nextafter(limit, step*math.Inf(1)), 'g', -1, 64)
+		if _, isInt := p.Default.(int); isInt {
+			over = strconv.Itoa(int(limit + step))
+		}
+		base := "ci=0.1&"
+		if p.Name == "ci" {
+			base = ""
+		}
+		for _, name := range append([]string{p.Name}, p.Aliases...) {
+			// Over the bound: a real HTTP 400 naming the limit, before dispatch.
+			status, body, _ := get(t, ts.URL+"/v1/experiments/fig4?"+base+name+"="+over)
+			if status != http.StatusBadRequest || !strings.Contains(body, errStr) {
+				t.Errorf("%s=%s over bound: status %d, want 400 mentioning %q (%s)", name, over, status, errStr, body)
+			}
+			// At the bound: queryParams accepts (unit seam — nothing executes).
+			if err := parse(base + name + "=" + atMax); err != nil {
+				t.Errorf("%s=%s at bound: unexpectedly rejected: %v", name, atMax, err)
 			}
 		}
 	}

@@ -134,7 +134,7 @@ func TestSSEHubNoGoroutineLeaks(t *testing.T) {
 
 	// Publish through the real engine path: a fresh-parameter run emits job
 	// events every subscriber should see.
-	status, _, _ := get(t, ts+"/v1/experiments/table5?bits=20")
+	status, _, _ := get(t, ts+"/v1/experiments/table2?bits=20")
 	if status != http.StatusOK {
 		t.Fatalf("experiment run: status %d", status)
 	}
