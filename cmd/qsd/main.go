@@ -64,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -324,7 +325,7 @@ func parseMix(spec string, cacheHit, sse float64) (loadgen.Mix, error) {
 			return mix, fmt.Errorf("bad mix entry %q: want id[?query]:weight", entry)
 		}
 		weight, err := strconv.ParseFloat(entry[i+1:], 64)
-		if err != nil || weight <= 0 {
+		if err != nil || !(weight > 0) || math.IsInf(weight, 1) {
 			return mix, fmt.Errorf("bad mix weight in %q", entry)
 		}
 		id, fixedQuery := entry[:i], ""

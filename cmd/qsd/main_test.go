@@ -45,6 +45,11 @@ func TestParseMix(t *testing.T) {
 		":3",
 		"table1:-1",
 		"table1:zero",
+		"table1:0",
+		"table1:NaN",
+		"table1:nan",
+		"table1:+Inf",
+		"table1:Inf",
 		"nonsense:1",
 		"fig4?%zz:1",
 	} {

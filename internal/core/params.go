@@ -40,7 +40,9 @@ type Param struct {
 	// Field names the row's storage in a Settings: a RunParams field or Bits.
 	Field string
 	index []int // Field's index path, resolved once
-	// check rejects a value no run can use, given the field's pointer.
+	// check rejects a value no run can use, given the field's pointer; it
+	// may rewrite an accepted value to its one canonical spelling, so every
+	// spelling of a result shares one job key.
 	check func(name string, v any) error
 }
 
@@ -52,14 +54,13 @@ var paramTable = []Param{
 	{Name: "buckets", Field: "Buckets", Default: 20, Doc: "time buckets of the ancilla demand profiles (20 matches the paper's plots)", Max: 100_000, check: positive},
 	{Name: "max-scale", Aliases: []string{"scale"}, Field: "MaxScale", Default: microarch.DefaultMaxScale, Doc: "largest resource scale swept", Max: 4096, check: positive},
 	{Name: "benchmark", Field: "Benchmark", Default: circuits.QCLA.String(), Doc: "benchmark kernel: QRCA, QCLA or QFT",
-		check: func(_ string, v any) error { _, err := circuits.ParseBenchmark(*v.(*string)); return err }},
+		check: func(_ string, v any) error { return canonical(v.(*string), circuits.ParseBenchmark) }},
 	{Name: "arch", Field: "Arch", Default: "", Doc: "restrict to one architecture: QLA, GQLA, CQLA, GCQLA or Fully-Multiplexed (fm); empty = all",
 		check: func(_ string, v any) error {
-			if arch := *v.(*string); arch != "" {
-				_, err := microarch.ParseArchitecture(arch)
-				return err
+			if *v.(*string) == "" {
+				return nil
 			}
-			return nil
+			return canonical(v.(*string), microarch.ParseArchitecture)
 		}},
 	{Name: "buffer", Field: "Buffer", Default: 16, Max: 1_000_000, check: nonNegative,
 		Doc: "buffer capacity: encoded ancillae per source, physical qubits per factory crossbar, or EPR pairs per link channel (0 = infinite)"},
@@ -101,6 +102,16 @@ func atLeast(min int, rule string) func(string, any) error {
 		}
 		return nil
 	}
+}
+
+// canonical replaces the string at v with the String of its parsed value,
+// or returns the parse error.
+func canonical[T fmt.Stringer](v *string, parse func(string) (T, error)) error {
+	x, err := parse(*v)
+	if err == nil {
+		*v = x.String()
+	}
+	return err
 }
 
 // fraction accepts [0, 1), 0 meaning off or default; NaN is rejected too.
@@ -167,11 +178,12 @@ func (s *Settings) BindFlags(fs *flag.FlagSet) {
 
 // Validate rejects settings no experiment can run: every row's own check,
 // then the rules that span rows.  A value is rejected whether or not the
-// requested experiment honours it.
-func (s Settings) Validate() error {
+// requested experiment honours it.  Accepted benchmark and arch values are
+// rewritten to their canonical spellings.
+func (s *Settings) Validate() error {
 	for _, p := range paramTable {
 		if p.check != nil {
-			if err := p.check(p.Name, p.field(&s)); err != nil {
+			if err := p.check(p.Name, p.field(s)); err != nil {
 				return err
 			}
 		}
@@ -197,7 +209,7 @@ func (s Settings) Validate() error {
 
 // Validate rejects parameter combinations no experiment can run (the
 // operand width lives on Experiments; Settings.Validate checks it).
-func (p RunParams) Validate() error { return Settings{Bits: 1, RunParams: p}.Validate() }
+func (p RunParams) Validate() error { return (&Settings{Bits: 1, RunParams: p}).Validate() }
 
 // checkServerBounds rejects settings asking a shared server for more
 // effort than the rows' Max and Min allow.

@@ -95,6 +95,35 @@ func TestJobKeyShape(t *testing.T) {
 	}
 }
 
+// TestValueSpellingsShareOneKey checks that every accepted spelling of a
+// benchmark or architecture parses to its canonical name, so one result has
+// one job key, and that the canonical spellings keep their keys.
+func TestValueSpellingsShareOneKey(t *testing.T) {
+	const want = "qsd|figure15|v2|bits=32|benchmark=QRCA|max-scale=64|arch=Fully-Multiplexed"
+	for _, q := range []string{
+		"benchmark=QRCA&arch=Fully-Multiplexed",
+		"benchmark=qrca&arch=fm",
+		"benchmark=Qrca&arch=fully_multiplexed",
+		"benchmark=QRCA&arch=FULLYMULTIPLEXED",
+	} {
+		s, err := ParseQuery(q, DefaultSettings())
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if s.Benchmark != "QRCA" || s.Arch != "Fully-Multiplexed" {
+			t.Errorf("%s parsed to benchmark %q, arch %q", q, s.Benchmark, s.Arch)
+		}
+		if got := JobKey("figure15", s); got != want {
+			t.Errorf("%s: key %q, want %q", q, got, want)
+		}
+	}
+	s := DefaultSettings()
+	s.Benchmark, s.Arch = "qcla", "gcqla"
+	if err := s.Validate(); err != nil || s.Benchmark != "QCLA" || s.Arch != "GCQLA" {
+		t.Errorf("Validate left benchmark %q, arch %q (%v)", s.Benchmark, s.Arch, err)
+	}
+}
+
 // FuzzQueryParams feeds arbitrary raw query strings to the server's parser:
 // it must never panic, and must return an error or settings that pass
 // Validate and every server bound.  Re-encoding those settings and parsing

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -82,8 +83,8 @@ func (c Config) Validate() error {
 	if c.BaseURL == "" {
 		return errors.New("loadgen: BaseURL is required")
 	}
-	if c.Rate <= 0 {
-		return fmt.Errorf("loadgen: Rate must be positive, got %v", c.Rate)
+	if !(c.Rate > 0) || math.IsInf(c.Rate, 1) {
+		return fmt.Errorf("loadgen: Rate must be finite and positive, got %v", c.Rate)
 	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("loadgen: Duration must be positive, got %v", c.Duration)
@@ -91,15 +92,20 @@ func (c Config) Validate() error {
 	if len(c.Mix.Endpoints) == 0 {
 		return errors.New("loadgen: Mix needs at least one endpoint")
 	}
+	total := 0.0
 	for _, e := range c.Mix.Endpoints {
-		if e.ID == "" || e.Weight < 0 {
+		if e.ID == "" || !(e.Weight >= 0) || math.IsInf(e.Weight, 1) {
 			return fmt.Errorf("loadgen: bad endpoint %+v", e)
 		}
+		total += e.Weight
 	}
-	if c.Mix.CacheHit < 0 || c.Mix.CacheHit > 1 {
+	if !(total > 0) || math.IsInf(total, 1) {
+		return fmt.Errorf("loadgen: endpoint weights must have a finite positive sum, got %v", total)
+	}
+	if !(c.Mix.CacheHit >= 0 && c.Mix.CacheHit <= 1) {
 		return fmt.Errorf("loadgen: CacheHit must be in [0,1], got %v", c.Mix.CacheHit)
 	}
-	if c.Mix.SSE < 0 || c.Mix.SSE > 1 {
+	if !(c.Mix.SSE >= 0 && c.Mix.SSE <= 1) {
 		return fmt.Errorf("loadgen: SSE must be in [0,1], got %v", c.Mix.SSE)
 	}
 	return nil

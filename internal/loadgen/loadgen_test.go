@@ -352,6 +352,15 @@ func TestConfigValidation(t *testing.T) {
 		{BaseURL: "http://x", Rate: 1, Duration: time.Second, Mix: Mix{CacheHit: 2, Endpoints: baseMix().Endpoints}},
 		{BaseURL: "http://x", Rate: 1, Duration: time.Second, Mix: Mix{SSE: -0.1, Endpoints: baseMix().Endpoints}},
 		{BaseURL: "http://x", Rate: 1, Duration: time.Second, Mix: Mix{Endpoints: []Endpoint{{ID: "", Weight: 1}}}},
+		// Non-finite input: an infinite rate would plan zero-length gaps
+		// forever, and NaN slips past every ordered comparison.
+		{BaseURL: "http://x", Rate: math.Inf(1), Duration: time.Second, Mix: baseMix()},
+		{BaseURL: "http://x", Rate: math.NaN(), Duration: time.Second, Mix: baseMix()},
+		{BaseURL: "http://x", Rate: 1, Duration: time.Second, Mix: Mix{Endpoints: []Endpoint{{ID: "table1", Weight: math.NaN()}}}},
+		{BaseURL: "http://x", Rate: 1, Duration: time.Second, Mix: Mix{Endpoints: []Endpoint{{ID: "table1", Weight: math.Inf(1)}}}},
+		{BaseURL: "http://x", Rate: 1, Duration: time.Second, Mix: Mix{Endpoints: []Endpoint{{ID: "table1", Weight: 0}, {ID: "table2", Weight: 0}}}},
+		{BaseURL: "http://x", Rate: 1, Duration: time.Second, Mix: Mix{CacheHit: math.NaN(), Endpoints: baseMix().Endpoints}},
+		{BaseURL: "http://x", Rate: 1, Duration: time.Second, Mix: Mix{SSE: math.NaN(), Endpoints: baseMix().Endpoints}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

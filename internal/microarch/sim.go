@@ -228,22 +228,6 @@ func (m *costModel) dispatch(g quantum.Gate) (site int, extraLatency, ancillae f
 	return site, extraLatency, ancillae
 }
 
-// Simulate runs the dataflow simulation of a logical circuit on the selected
-// microarchitecture.  Gates issue in first-come-first-served order of data
-// readiness (ties broken by gate index); each gate waits for its operands,
-// for any required data movement (ballistic, teleportation, or cache
-// fetch/writeback), and for the encoded ancillae its QEC step and teleports
-// consume, drawn from the architecture's generator sources.
-//
-// Simulate executes on the discrete-event kernel of internal/sim and honours
-// cfg.BufferAncillae: zero buffers the generators infinitely (the paper's
-// closed-form token-bucket model, reproduced bit for bit — see
-// SimulateClosedForm), a positive capacity bounds each source's buffer so
-// production stalls when it fills and gates stall when it empties.
-func Simulate(c *quantum.Circuit, cfg Config) (Result, error) {
-	return simulateEvents(c, cfg)
-}
-
 // SimulateClosedForm is the original analytical model: list scheduling
 // against infinitely buffered token-bucket ancilla sources, with no event
 // kernel.  It is retained as the parity oracle for the event-driven

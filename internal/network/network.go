@@ -15,11 +15,14 @@
 // movement model's teleport latency after the EPR pair and the teleport
 // ancillae are available.
 //
-// Replay executes benchmark dataflow graphs across the mesh on the
-// discrete-event kernel of internal/sim: qubits are placed by a
-// deterministic partitioner (PartitionCircuit), local gates pay ballistic
-// movement, and cross-tile gates teleport their operands to the execution
-// tile and back.  A 1-tile mesh has no links, so Replay degenerates to the
+// Replay executes benchmark dataflow graphs across the mesh as a model on
+// sim.Replay, the event-driven DAG replay driver internal/schedule and
+// internal/microarch share: qubits are placed by a deterministic
+// partitioner (PartitionCircuit), local gates pay ballistic movement, and
+// cross-tile gates teleport their operands to the execution tile and back.
+// Per-tile zero supplies and per-link EPR channels are sim.SupplyBanks;
+// teleports, routing and fault events run on the network's own
+// sim.Handler.  A 1-tile mesh has no links, so Replay degenerates to the
 // single-region fluid replay of internal/schedule and — once ballistic
 // movement is zeroed and TileZeroRatePerMs pinned to the supply rate, the
 // two costs schedule.Replay does not model — reproduces it bit for bit, the

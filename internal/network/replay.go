@@ -115,28 +115,23 @@ type teleState struct {
 	hopReady float64 // when the current hop requested its EPR pair
 }
 
-// netState is the pooled per-run state of ReplayShared, implementing
-// sim.Handler.  Event payloads: -1 dispatch, [0,total) gate completion,
-// [total,2·total) return-teleport launch for gate idx-total, and beyond
-// that teleport steps (even = EPR pair granted, odd = hop arrival).
+// netState is ReplayShared's issue hook on the sim.Replay driver: teleport
+// the remote operands in, issue the gate on its execution tile, teleport
+// them back, then finish the gate through the driver.  It implements
+// sim.Handler for its own events, and is pooled with its supply banks.
+// Event payloads: a negative idx applies scheduled fault -1-idx, [0,total)
+// launches gate idx's return teleports, and beyond that teleport steps
+// (even = EPR pair granted, odd = hop arrival).
 type netState struct {
-	k  *sim.Kernel
-	rq *sim.TaskQueue
+	d *sim.Replay
 
-	run   *ReplayRun
-	cs    []*quantum.Circuit
-	m     schedule.LatencyModel
-	topo  Topology
-	flat  []flatGate
-	dags  []*quantum.DAG
-	offs  []int
-	pend  []netGate
-	ready []float64
-	indeg []int
-
-	pools   []sim.FluidSource
-	bufs    []*sim.Resource
-	prods   []*sim.Producer
+	run     *ReplayRun
+	m       schedule.LatencyModel
+	topo    Topology
+	pend    []netGate
+	tiles   sim.SupplyBank // per-tile zero factories (fluid)
+	links   sim.SupplyBank // per-link EPR channels (buffered)
+	rates   []float64      // scratch for the banks' per-site rates
 	linkIdx map[Link]int
 	routes  [][]Link // (from*tiles+to) -> cached dimension-order route
 
@@ -150,7 +145,6 @@ type netState struct {
 	linkDegraded []bool  // per linkIdx: the link runs at a reduced rate
 	rerouted     []bool  // per routes index: cached route deviates from dimension order
 	fstats       FaultStats
-	replayErr    error
 
 	tele     []teleState
 	teleFree []int32
@@ -161,40 +155,21 @@ type netState struct {
 	teleUs   float64
 	ballUs   float64
 
-	waits      []float64
-	netBlocked []float64
-	tops       []float64
-
-	total             int
-	nTiles            int
-	finished          int
-	makespan          float64
-	dispatchScheduled bool
-}
-
-type flatGate struct {
-	circuit int
-	gate    int
+	total  int
+	nTiles int
 }
 
 var netStatePool = sync.Pool{New: func() any { return new(netState) }}
 
-const netDispatchIdx = -1
-
 // Fire implements sim.Handler.
 func (r *netState) Fire(idx int) {
 	switch {
-	case idx == netDispatchIdx:
-		r.dispatch()
-	case idx < netDispatchIdx:
-		// Scheduled faults carry their plan index as -2-pi.
-		r.applyFault(-2 - idx)
+	case idx < 0:
+		r.applyFault(-1 - idx)
 	case idx < r.total:
-		r.completed(idx)
-	case idx < 2*r.total:
-		r.launchReturns(idx - r.total)
+		r.launchReturns(idx)
 	default:
-		t := idx - 2*r.total
+		t := idx - r.total
 		if t&1 == 0 {
 			r.teleGranted(t >> 1)
 		} else {
@@ -203,18 +178,22 @@ func (r *netState) Fire(idx int) {
 	}
 }
 
+// teleIdx is the event payload of teleport ts's EPR grant; its hop arrival
+// is teleIdx+1.
+func (r *netState) teleIdx(ts int) int { return r.total + 2*ts }
+
 // route returns the cached route between two tiles: the plain dimension-order
 // route on a pristine mesh, the fault-avoiding fallback (opposite dimension
 // order, then a bounded BFS detour) when a fault plan is active.  On a
 // partitioned mesh it fails the replay and returns nil; callers must check
-// replayErr before using the route.
+// d.Failed before using the route.
 func (r *netState) route(from, to int) []Link {
 	i := from*r.nTiles + to
 	if r.routes[i] == nil {
 		if r.faulted {
 			rt, rer, err := r.topo.RouteAvoiding(from, to, r.linkIsDown)
 			if err != nil {
-				r.fail(err)
+				r.d.Fail(err)
 				return nil
 			}
 			r.routes[i], r.rerouted[i] = rt, rer
@@ -228,14 +207,6 @@ func (r *netState) route(from, to int) []Link {
 // linkIsDown is the RouteAvoiding predicate over the per-replay link-status
 // table.
 func (r *netState) linkIsDown(l Link) bool { return r.linkDown[r.linkIdx[l]] }
-
-// fail aborts the replay with the first error (mesh partitioned mid-run).
-func (r *netState) fail(err error) {
-	if r.replayErr == nil {
-		r.replayErr = err
-		r.k.Stop()
-	}
-}
 
 // clearRoutes drops every cached route so the next lookup re-resolves
 // against the updated link-status table.  In-flight teleports keep their old
@@ -271,8 +242,8 @@ func (r *netState) applyFault(pi int) {
 		}
 		// RateFactor scales the link's configured rate; a later fault on
 		// the same link overrides an earlier one rather than compounding.
-		if err := r.prods[li].SetRate(r.linkRate * f.RateFactor); err != nil {
-			r.fail(err)
+		if err := r.links.Producer(li).SetRate(r.linkRate * f.RateFactor); err != nil {
+			r.d.Fail(err)
 		}
 		return
 	}
@@ -281,7 +252,7 @@ func (r *netState) applyFault(pi int) {
 	}
 	r.linkDown[li] = true
 	r.fstats.FailedLinks++
-	r.prods[li].Halt()
+	r.links.Producer(li).Halt()
 	r.clearRoutes()
 	// Teleports queued on the dying link re-route from where they stand.
 	// A request whose pair already left the buffer is not pending any
@@ -292,16 +263,16 @@ func (r *netState) applyFault(pi int) {
 		if !s.waiting || s.hop >= len(s.route) || r.linkIdx[s.route[s.hop]] != li {
 			continue
 		}
-		if !r.bufs[li].CancelAcquireFire(r, 2*r.total+2*ts) {
+		if !r.links.Buffer(li).CancelAcquireFire(r, r.teleIdx(ts)) {
 			continue
 		}
 		s.waiting = false
-		ci := r.flat[s.fi].circuit
-		now := float64(r.k.Now())
-		r.netBlocked[ci] += now - s.hopReady
+		ci, _ := r.d.Gate(s.fi)
+		now := float64(r.d.Kernel().Now())
+		r.run.Results[ci].NetworkBlocked += iontrap.Microseconds(now - s.hopReady)
 		cur := s.route[s.hop].From
 		nr := r.route(cur, s.dest)
-		if r.replayErr != nil {
+		if r.d.Failed() {
 			return
 		}
 		r.fstats.InFlightReroutes++
@@ -332,14 +303,14 @@ func (r *netState) spawnTele(fi int, route []Link, ret bool) {
 // instead of queueing on a dead channel forever.
 func (r *netState) teleStep(ts int) {
 	s := &r.tele[ts]
+	now := float64(r.d.Kernel().Now())
 	if s.hop == len(s.route) {
-		arrive := float64(r.k.Now())
 		fi, ret := s.fi, s.ret
 		r.teleFree = append(r.teleFree, int32(ts))
 		if ret {
-			r.returnArrived(fi, arrive)
+			r.returnArrived(fi, now)
 		} else {
-			r.operandArrived(fi, arrive)
+			r.operandArrived(fi, now)
 		}
 		return
 	}
@@ -347,7 +318,7 @@ func (r *netState) teleStep(ts int) {
 	if r.faulted && r.linkDown[r.linkIdx[l]] {
 		cur := l.From
 		nr := r.route(cur, s.dest)
-		if r.replayErr != nil {
+		if r.d.Failed() {
 			return
 		}
 		r.fstats.InFlightReroutes++
@@ -355,9 +326,9 @@ func (r *netState) teleStep(ts int) {
 		s.route, s.hop = nr, 0
 		l = nr[0]
 	}
-	s.hopReady = float64(r.k.Now())
+	s.hopReady = now
 	s.waiting = true
-	r.bufs[r.linkIdx[l]].AcquireFire(1, r, 2*r.total+2*ts)
+	r.links.Buffer(r.linkIdx[l]).AcquireFire(1, r, r.teleIdx(ts))
 }
 
 // teleGranted fires when the hop's EPR pair is delivered: draw the teleport
@@ -365,27 +336,25 @@ func (r *netState) teleStep(ts int) {
 func (r *netState) teleGranted(ts int) {
 	s := &r.tele[ts]
 	s.waiting = false
-	ci := r.flat[s.fi].circuit
+	ci, _ := r.d.Gate(s.fi)
 	res := &r.run.Results[ci]
 	l := s.route[s.hop]
-	granted := float64(r.k.Now())
-	r.netBlocked[ci] += granted - s.hopReady
+	granted := float64(r.d.Kernel().Now())
+	res.NetworkBlocked += iontrap.Microseconds(granted - s.hopReady)
 	if r.faulted && r.linkDegraded[r.linkIdx[l]] {
 		r.fstats.DegradedWaitUs += granted - s.hopReady
 	}
 	depart := granted
 	if r.teleAnc > 0 {
-		if t := r.pools[l.From].AvailableAt(r.teleAnc); t > depart {
-			depart = t
-		}
+		depart, _ = r.tiles.Acquire(l.From, r.teleAnc, granted, nil, 0)
 	}
-	r.waits[ci] += depart - granted
+	res.AncillaWait += iontrap.Microseconds(depart - granted)
 	res.TeleportAncillae += r.teleAncN
 	res.AncillaeConsumed += r.teleAncN
 	res.Hops++
 	arrive := depart + r.teleUs
-	r.netBlocked[ci] += arrive - depart
-	r.k.AtFire(iontrap.Microseconds(arrive), sim.PriorityNormal, r, 2*r.total+2*ts+1)
+	res.NetworkBlocked += iontrap.Microseconds(arrive - depart)
+	r.d.Kernel().AtFire(iontrap.Microseconds(arrive), sim.PriorityNormal, r, r.teleIdx(ts)+1)
 }
 
 // teleArrived fires at the hop's arrival time.
@@ -399,17 +368,53 @@ func (r *netState) teleArrived(ts int) {
 // gates) and the gate itself.  It returns the execution finish time.
 func (r *netState) issueGate(ci int, g quantum.Gate, start float64, execTile int) float64 {
 	res := &r.run.Results[ci]
-	issue := start
-	if t := r.pools[execTile].AvailableAt(r.perGate); t > issue {
-		issue = t
-	}
-	r.waits[ci] += issue - start
+	issue, _ := r.tiles.Acquire(execTile, r.perGate, start, nil, 0)
+	res.AncillaWait += iontrap.Microseconds(issue - start)
 	res.AncillaeConsumed += r.m.ZeroAncillaePerQEC
 	extra := 0.0
 	if g.Kind.Arity() >= 2 {
 		extra = r.ballUs
 	}
 	return issue + extra + float64(r.m.GateWeightSpeedOfData(g))
+}
+
+// execTile returns the tile gate g of circuit ci executes on: the home of
+// its last operand.
+func (r *netState) execTile(ci int, g quantum.Gate) int {
+	return r.run.Partitions[ci].TileOf[g.Qubits[len(g.Qubits)-1]]
+}
+
+// Issue implements sim.Issuer: a gate with every operand on its execution
+// tile issues at once; otherwise each remote operand teleports in first.
+func (r *netState) Issue(fi int, start float64) {
+	ci, g := r.d.Gate(fi)
+	part := r.run.Partitions[ci]
+	execTile := r.execTile(ci, g)
+	p := &r.pend[fi]
+	p.moves = p.moves[:0]
+	for _, q := range g.Qubits[:len(g.Qubits)-1] {
+		if from := part.TileOf[q]; from != execTile {
+			p.moves = append(p.moves, r.route(from, execTile))
+		}
+	}
+	if r.d.Failed() {
+		return
+	}
+	if len(p.moves) == 0 {
+		r.d.Finish(fi, r.issueGate(ci, g, start, execTile))
+		return
+	}
+	res := &r.run.Results[ci]
+	p.inbound = len(p.moves)
+	p.arrival = start
+	for _, route := range p.moves {
+		res.Teleports++
+		res.HopHistogram[len(route)]++
+		if r.faulted {
+			r.noteSpawn(route)
+		}
+		r.spawnTele(fi, route, false)
+	}
 }
 
 // operandArrived joins one inbound teleport; the last arrival executes the
@@ -423,28 +428,25 @@ func (r *netState) operandArrived(fi int, arrive float64) {
 	if p.inbound > 0 {
 		return
 	}
-	fg := r.flat[fi]
-	g := r.cs[fg.circuit].Gates[fg.gate]
-	part := r.run.Partitions[fg.circuit]
-	execTile := part.TileOf[g.Qubits[len(g.Qubits)-1]]
-	p.execDone = r.issueGate(fg.circuit, g, p.arrival, execTile)
+	ci, g := r.d.Gate(fi)
+	p.execDone = r.issueGate(ci, g, p.arrival, r.execTile(ci, g))
 	// Return the moved operands home; the gate completes (and unblocks its
 	// successors) once placement is restored, the same to-and-back
 	// convention the microarch teleport accounting uses.
-	r.k.AtFire(iontrap.Microseconds(p.execDone), sim.PriorityNormal, r, r.total+fi)
+	r.d.Kernel().AtFire(iontrap.Microseconds(p.execDone), sim.PriorityNormal, r, fi)
 }
 
 // launchReturns fires at a cross-tile gate's execution completion and sends
 // every moved operand back.
 func (r *netState) launchReturns(fi int) {
 	p := &r.pend[fi]
-	fg := r.flat[fi]
-	res := &r.run.Results[fg.circuit]
+	ci, _ := r.d.Gate(fi)
+	res := &r.run.Results[ci]
 	p.outbound = len(p.moves)
 	p.retDone = p.execDone
 	for _, route := range p.moves {
 		back := r.route(route[len(route)-1].To, route[0].From)
-		if r.replayErr != nil {
+		if r.d.Failed() {
 			return
 		}
 		res.Teleports++
@@ -464,138 +466,42 @@ func (r *netState) returnArrived(fi int, arrive float64) {
 	}
 	p.outbound--
 	if p.outbound == 0 {
-		r.finishGate(fi, p.retDone)
+		r.d.Finish(fi, p.retDone)
 	}
 }
 
-func (r *netState) scheduleDispatch() {
-	if !r.dispatchScheduled {
-		r.dispatchScheduled = true
-		r.k.AtFire(r.k.Now(), sim.PriorityLate, r, netDispatchIdx)
-	}
-}
-
-func (r *netState) finishGate(fi int, finishAt float64) {
-	fg := r.flat[fi]
-	if finishAt > r.tops[fg.circuit] {
-		r.tops[fg.circuit] = finishAt
-	}
-	if finishAt > r.makespan {
-		r.makespan = finishAt
-	}
-	r.k.AtFire(iontrap.Microseconds(finishAt), sim.PriorityNormal, r, fi)
-}
-
-func (r *netState) completed(fi int) {
-	finishAt := float64(r.k.Now())
-	fg := r.flat[fi]
-	r.finished++
-	for _, s := range r.dags[fg.circuit].Succ[fg.gate] {
-		si := r.offs[fg.circuit] + s
-		if finishAt > r.ready[si] {
-			r.ready[si] = finishAt
-		}
-		r.indeg[si]--
-		if r.indeg[si] == 0 {
-			r.rq.Push(sim.Task{Index: si, Ready: r.ready[si]})
-			r.scheduleDispatch()
-		}
-	}
-	if r.finished == r.total {
-		r.k.Stop()
-	}
-}
-
-func (r *netState) dispatch() {
-	r.dispatchScheduled = false
-	for r.rq.Len() > 0 {
-		item := r.rq.Pop()
-		fi := item.Index
-		fg := r.flat[fi]
-		ci := fg.circuit
-		g := r.cs[ci].Gates[fg.gate]
-		part := r.run.Partitions[ci]
-		execTile := part.TileOf[g.Qubits[len(g.Qubits)-1]]
-		p := &r.pend[fi]
-		p.moves = p.moves[:0]
-		for _, q := range g.Qubits[:len(g.Qubits)-1] {
-			if from := part.TileOf[q]; from != execTile {
-				p.moves = append(p.moves, r.route(from, execTile))
-			}
-		}
-		if r.replayErr != nil {
-			return
-		}
-		start := item.Ready
-		if len(p.moves) == 0 {
-			r.finishGate(fi, r.issueGate(ci, g, start, execTile))
+// staticFault applies the plan's static faults (At == 0) to link i before
+// the run starts, marking it dead or degraded, and returns its EPR rate.  A
+// later plan entry on the same link overrides an earlier one.
+func (r *netState) staticFault(i int, l Link, plan FaultPlan) float64 {
+	rate, dead := r.linkRate, false
+	for _, f := range plan {
+		if f.At != 0 || f.Link != l {
 			continue
 		}
-		res := &r.run.Results[ci]
-		p.inbound = len(p.moves)
-		p.arrival = start
-		for _, route := range p.moves {
-			res.Teleports++
-			res.HopHistogram[len(route)]++
-			if r.faulted {
-				r.noteSpawn(route)
-			}
-			r.spawnTele(fi, route, false)
+		if f.Dead {
+			dead = true
+		} else {
+			rate = r.linkRate * f.RateFactor
 		}
 	}
+	if dead {
+		r.linkDown[i] = true
+		r.fstats.FailedLinks++
+	} else if rate != r.linkRate {
+		r.linkDegraded[i] = true
+		r.fstats.DegradedLinks++
+	}
+	return rate
 }
 
-// grow resizes the per-gate and per-circuit arrays, reusing capacity.
-func (r *netState) grow(total, circuits, tiles int) {
-	r.total, r.nTiles = total, tiles
-	if cap(r.flat) < total {
-		r.flat = make([]flatGate, total)
-		r.ready = make([]float64, total)
-		r.indeg = make([]int, total)
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	r.flat = r.flat[:total]
-	r.ready = r.ready[:total]
-	r.indeg = r.indeg[:total]
-	for i := range r.ready {
-		r.ready[i] = 0
-	}
-	if cap(r.pend) < total {
-		old := r.pend
-		r.pend = make([]netGate, total)
-		// Keep the per-gate move-slice capacity accumulated so far.
-		copy(r.pend, old)
-	}
-	r.pend = r.pend[:total]
-	for i := range r.pend {
-		r.pend[i] = netGate{moves: r.pend[i].moves[:0]}
-	}
-	if cap(r.dags) < circuits {
-		r.dags = make([]*quantum.DAG, circuits)
-		r.offs = make([]int, circuits)
-		r.waits = make([]float64, circuits)
-		r.netBlocked = make([]float64, circuits)
-		r.tops = make([]float64, circuits)
-	}
-	r.dags = r.dags[:circuits]
-	r.offs = r.offs[:circuits]
-	r.waits = r.waits[:circuits]
-	r.netBlocked = r.netBlocked[:circuits]
-	r.tops = r.tops[:circuits]
-	for i := 0; i < circuits; i++ {
-		r.waits[i], r.netBlocked[i], r.tops[i] = 0, 0, 0
-	}
-	if cap(r.routes) < tiles*tiles {
-		r.routes = make([][]Link, tiles*tiles)
-		r.rerouted = make([]bool, tiles*tiles)
-	}
-	r.routes = r.routes[:tiles*tiles]
-	r.rerouted = r.rerouted[:tiles*tiles]
-	for i := range r.routes {
-		r.routes[i] = nil
-		r.rerouted[i] = false
-	}
-	r.tele = r.tele[:0]
-	r.teleFree = r.teleFree[:0]
+	return s[:n]
 }
 
 // ReplayShared co-schedules several circuits on one mesh — the network
@@ -631,34 +537,11 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 	if len(cfg.Partitions) > 0 && len(cfg.Partitions) != len(cs) {
 		return ReplayRun{}, fmt.Errorf("network: %d pinned partitions for %d circuits", len(cfg.Partitions), len(cs))
 	}
-	total := 0
 	for _, c := range cs {
 		if err := c.Validate(); err != nil {
 			return ReplayRun{}, err
 		}
-		total += len(c.Gates)
 	}
-
-	r := netStatePool.Get().(*netState)
-	defer func() {
-		r.k, r.rq, r.cs, r.run, r.plan = nil, nil, nil, nil, nil
-		for i := range r.dags {
-			r.dags[i] = nil
-		}
-		netStatePool.Put(r)
-	}()
-	r.run, r.cs, r.m, r.topo = &run, cs, m, topo
-	r.perGate = float64(m.ZeroAncillaePerQEC)
-	r.teleAncN = cfg.Machine.Movement.TeleportAncillae
-	r.teleAnc = float64(r.teleAncN)
-	r.teleUs = float64(cfg.Machine.Movement.TeleportUs)
-	r.ballUs = float64(cfg.Machine.Movement.BallisticPerGateUs)
-	r.finished, r.makespan, r.dispatchScheduled = 0, 0, false
-	r.faulted, r.plan = faulted, cfg.Faults
-	r.fstats, r.replayErr = FaultStats{}, nil
-	r.grow(total, len(cs), nTiles)
-
-	fi := 0
 	for ci, c := range cs {
 		var part Partition
 		if len(cfg.Partitions) > 0 {
@@ -674,149 +557,102 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 			}
 		}
 		run.Partitions[ci] = part
-		r.dags[ci] = c.DAG()
-		r.offs[ci] = fi
-		for gi := range c.Gates {
-			r.flat[fi] = flatGate{circuit: ci, gate: gi}
-			fi++
-		}
 		res := &run.Results[ci]
-		res.Name = c.Name
-		res.Gates = len(c.Gates)
+		res.ReplayResult = schedule.BaseResult(c, m)
 		res.CrossGates = part.CrossGates
 		res.HopHistogram = make([]int, maxDist)
-		_, sod := r.dags[ci].WeightedCriticalPath(func(g quantum.Gate) float64 {
-			return float64(m.GateWeightSpeedOfData(g))
-		})
-		res.SpeedOfData = iontrap.Microseconds(sod)
-		for _, g := range c.Gates {
-			res.DataOpBusy += m.DataOpLatency(g)
-			res.QECInteractBusy += m.QECInteractLatency()
-		}
 	}
-	if total == 0 {
+	d := sim.AcquireReplay(cs)
+	defer d.Release()
+	if d.Total() == 0 {
 		return run, nil
 	}
 
-	r.k = sim.AcquireKernel()
-	defer r.k.Release()
-	r.rq = sim.AcquireTaskQueue()
-	defer r.rq.Release()
+	r := netStatePool.Get().(*netState)
+	defer func() {
+		r.d, r.run, r.plan = nil, nil, nil
+		netStatePool.Put(r)
+	}()
+	r.d, r.run, r.m, r.topo = d, &run, m, topo
+	r.perGate = float64(m.ZeroAncillaePerQEC)
+	r.teleAncN = cfg.Machine.Movement.TeleportAncillae
+	r.teleAnc = float64(r.teleAncN)
+	r.teleUs = float64(cfg.Machine.Movement.TeleportUs)
+	r.ballUs = float64(cfg.Machine.Movement.BallisticPerGateUs)
+	r.faulted, r.plan = faulted, cfg.Faults
+	r.fstats = FaultStats{}
+	r.total, r.nTiles = d.Total(), nTiles
+	r.pend = resize(r.pend, r.total)
+	for i := range r.pend {
+		r.pend[i] = netGate{moves: r.pend[i].moves[:0]}
+	}
+	r.routes = resize(r.routes, nTiles*nTiles)
+	r.rerouted = resize(r.rerouted, nTiles*nTiles)
+	r.clearRoutes()
+	r.tele, r.teleFree = r.tele[:0], r.teleFree[:0]
+	k := d.Kernel()
 
 	// Per-tile zero supplies are fluid token buckets (the same arithmetic
 	// schedule.Replay uses), fed by the tile's own factories.
-	if cap(r.pools) < nTiles {
-		r.pools = make([]sim.FluidSource, nTiles)
+	r.rates = resize(r.rates, nTiles)
+	for i := range r.rates {
+		r.rates[i] = cfg.tileRatePerMs(i) / 1000.0
 	}
-	r.pools = r.pools[:nTiles]
-	for i := range r.pools {
-		if err := r.pools[i].Reset(cfg.tileRatePerMs(i) / 1000.0); err != nil {
-			return ReplayRun{}, err
-		}
+	if err := r.tiles.ResetFluid(r.rates); err != nil {
+		return ReplayRun{}, err
 	}
 	// Each directed link is a finite EPR-pair channel behind a rate-matched
-	// generator.  Channels and generators are pooled across runs.
+	// generator.
 	links := topo.Links()
 	if r.linkIdx == nil {
 		r.linkIdx = make(map[Link]int, len(links))
 	} else {
 		clear(r.linkIdx)
 	}
-	linkRatePerUs := cfg.linkRatePerMs() / 1000.0
-	r.linkRate = linkRatePerUs
+	r.linkRate = cfg.linkRatePerMs() / 1000.0
+	r.rates = resize(r.rates, len(links))
 	if faulted {
-		if cap(r.linkDown) < len(links) {
-			r.linkDown = make([]bool, len(links))
-			r.linkDegraded = make([]bool, len(links))
-		}
-		r.linkDown = r.linkDown[:len(links)]
-		r.linkDegraded = r.linkDegraded[:len(links)]
-		for i := range r.linkDown {
-			r.linkDown[i], r.linkDegraded[i] = false, false
-		}
+		r.linkDown = resize(r.linkDown, len(links))
+		r.linkDegraded = resize(r.linkDegraded, len(links))
+		clear(r.linkDown)
+		clear(r.linkDegraded)
 	}
 	for i, l := range links {
 		r.linkIdx[l] = i
-		rate, dead := linkRatePerUs, false
+		r.rates[i] = r.linkRate
 		if faulted {
-			// Static faults (At == 0) shape the link before the run
-			// starts; a later plan entry on the same link overrides an
-			// earlier one.
-			for _, f := range cfg.Faults {
-				if f.At != 0 || f.Link != l {
-					continue
-				}
-				if f.Dead {
-					dead = true
-				} else {
-					rate = linkRatePerUs * f.RateFactor
-				}
-			}
-			if dead {
-				r.linkDown[i] = true
-				r.fstats.FailedLinks++
-			} else if rate != linkRatePerUs {
-				r.linkDegraded[i] = true
-				r.fstats.DegradedLinks++
-			}
-		}
-		name := "EPR link " + l.String()
-		if i < len(r.bufs) {
-			r.bufs[i].Reset(r.k, name, cfg.LinkBufferPairs)
-			if err := r.prods[i].Reset(r.k, name, r.bufs[i], rate, 1); err != nil {
-				return ReplayRun{}, err
-			}
-		} else {
-			buf := sim.NewResource(r.k, name, cfg.LinkBufferPairs)
-			prod, err := sim.NewProducer(r.k, name, buf, rate, 1)
-			if err != nil {
-				return ReplayRun{}, err
-			}
-			r.bufs = append(r.bufs, buf)
-			r.prods = append(r.prods, prod)
-		}
-		// A statically dead link's generator never starts: the channel
-		// stays empty and every route avoids it from the first dispatch.
-		if !dead {
-			r.prods[i].Start()
+			r.rates[i] = r.staticFault(i, l, cfg.Faults)
 		}
 	}
-	r.bufs = r.bufs[:len(links)]
-	r.prods = r.prods[:len(links)]
+	if err := r.links.ResetBuffered(k, r.rates, cfg.LinkBufferPairs, func(i int) string {
+		return "EPR link " + links[i].String()
+	}); err != nil {
+		return ReplayRun{}, err
+	}
+	for i := range links {
+		// A statically dead link's generator never starts: the channel
+		// stays empty and every route avoids it from the first dispatch.
+		if !faulted || !r.linkDown[i] {
+			r.links.Producer(i).Start()
+		}
+	}
 	// Scheduled faults fire as ordinary kernel events at their timestamps;
 	// one scheduled past the makespan never applies.
 	for pi, f := range cfg.Faults {
 		if f.At > 0 {
-			r.k.AtFire(f.At, sim.PriorityNormal, r, -2-pi)
+			k.AtFire(f.At, sim.PriorityNormal, r, -1-pi)
 		}
 	}
 
-	for ci, d := range r.dags {
-		copy(r.indeg[r.offs[ci]:r.offs[ci]+len(d.InDegree)], d.InDegree)
-	}
-	for i, d := range r.indeg {
-		if d == 0 {
-			r.rq.Push(sim.Task{Index: i, Ready: 0})
-		}
-	}
-	r.k.AtFire(0, sim.PriorityLate, r, netDispatchIdx)
-	r.dispatchScheduled = true
-	stats := r.k.Run()
-
-	if r.replayErr != nil {
-		err := r.replayErr
+	stats, err := d.Run(r)
+	if err != nil {
 		obsRecordReplay(r.fstats, errors.Is(err, ErrPartitioned))
 		return ReplayRun{}, err
 	}
-	if r.finished != total {
-		return ReplayRun{}, fmt.Errorf("network: replay left %d gates unexecuted (cyclic dependence graph?)", total-r.finished)
-	}
 	for ci := range cs {
-		run.Results[ci].ExecutionTime = iontrap.Microseconds(r.tops[ci])
-		run.Results[ci].AncillaWait = iontrap.Microseconds(r.waits[ci])
-		run.Results[ci].NetworkBlocked = iontrap.Microseconds(r.netBlocked[ci])
+		run.Results[ci].ExecutionTime = d.CircuitMakespan(ci)
 	}
-	run.Makespan = iontrap.Microseconds(r.makespan)
+	run.Makespan = d.Makespan()
 	run.Events = stats.Events
 	run.Faults = r.fstats
 	obsRecordReplay(r.fstats, false)
@@ -824,9 +660,9 @@ func ReplayShared(cs []*quantum.Circuit, cfg Config) (ReplayRun, error) {
 	for i, l := range links {
 		run.Links[i] = LinkStat{
 			Link:          l,
-			PairsConsumed: r.bufs[i].Consumed(),
-			HighWater:     r.bufs[i].HighWater(),
-			ProducerStall: r.prods[i].StallTime(),
+			PairsConsumed: r.links.Buffer(i).Consumed(),
+			HighWater:     r.links.Buffer(i).HighWater(),
+			ProducerStall: r.links.Producer(i).StallTime(),
 		}
 	}
 	return run, nil

@@ -100,167 +100,54 @@ func Replay(c *quantum.Circuit, m LatencyModel, supply Supply) (ReplayRun, error
 	return ReplayShared([]*quantum.Circuit{c}, m, supply)
 }
 
-// flatGate addresses one gate in the flattened multi-circuit gate space.
-type flatGate struct {
-	circuit int
-	gate    int
+// BaseResult returns the part of a circuit's replay result that no supply
+// changes: its name, gate count, dataflow bound and the Table 2 busy totals.
+// Every replayer starts its per-circuit result from it.
+func BaseResult(c *quantum.Circuit, m LatencyModel) ReplayResult {
+	res := ReplayResult{Name: c.Name, Gates: len(c.Gates)}
+	_, sod := c.DAG().WeightedCriticalPath(func(g quantum.Gate) float64 {
+		return float64(m.GateWeightSpeedOfData(g))
+	})
+	res.SpeedOfData = iontrap.Microseconds(sod)
+	for _, g := range c.Gates {
+		res.DataOpBusy += m.DataOpLatency(g)
+		res.QECInteractBusy += m.QECInteractLatency()
+	}
+	return res
 }
 
-// replayState is the pooled per-run state of ReplayShared.  It implements
-// sim.Handler so the per-event schedule — one completion per gate, one
-// supply grant per buffered gate, the dispatcher — carries a flat gate
-// index instead of allocating a closure per event.
-type replayState struct {
-	k  *sim.Kernel
-	rq *sim.TaskQueue
-	m  LatencyModel
-	cs []*quantum.Circuit
-
-	run  *ReplayRun
-	flat []flatGate
-	dags []*quantum.DAG
-	offs []int
-
-	fluid    bool
-	fluidSrc sim.FluidSource
-	buffer   *sim.Resource
-	producer *sim.Producer
-	perGate  float64
-
-	ready []float64
-	indeg []int
-	pend  []pendIssue
-	waits []float64
-	tops  []float64 // per-circuit makespans
-
-	total             int
-	finished          int
-	makespan          float64
-	dispatchScheduled bool
+// sharedModel is ReplayShared's issue hook on the sim.Replay driver: every
+// gate draws its QEC step's encoded zeros from the one shared supply site,
+// then runs for its speed-of-data weight.  It implements sim.Handler for
+// the grants of a buffered supply, whose payload is the flat gate index.
+type sharedModel struct {
+	d      *sim.Replay
+	m      LatencyModel
+	res    []ReplayResult
+	supply sim.SupplyBank
 }
 
-// pendIssue carries a buffered gate's dispatch-time values to its grant.
-type pendIssue struct {
-	start, weight float64
-}
+var sharedModelPool = sync.Pool{New: func() any { return new(sharedModel) }}
 
-var replayStatePool = sync.Pool{New: func() any { return new(replayState) }}
-
-const replayDispatchIdx = -1
-
-// Fire implements sim.Handler: -1 dispatches, [0,total) completes a gate,
-// [total,2·total) grants a gate's supply request.
-func (r *replayState) Fire(idx int) {
-	switch {
-	case idx == replayDispatchIdx:
-		r.dispatch()
-	case idx >= r.total:
-		r.granted(idx - r.total)
-	default:
-		r.completed(idx)
+// Issue implements sim.Issuer.
+func (s *sharedModel) Issue(fi int, ready float64) {
+	ci, _ := s.d.Gate(fi)
+	s.res[ci].AncillaeConsumed += s.m.ZeroAncillaePerQEC
+	if issue, ok := s.supply.Acquire(0, float64(s.m.ZeroAncillaePerQEC), ready, s, fi); ok {
+		s.run(fi, ready, issue)
 	}
 }
 
-func (r *replayState) scheduleDispatch() {
-	if !r.dispatchScheduled {
-		r.dispatchScheduled = true
-		r.k.AtFire(r.k.Now(), sim.PriorityLate, r, replayDispatchIdx)
-	}
+// Fire implements sim.Handler: gate fi's buffered supply grant.
+func (s *sharedModel) Fire(fi int) {
+	s.run(fi, s.d.Ready(fi), float64(s.d.Kernel().Now()))
 }
 
-func (r *replayState) finishGate(fi int, finishAt float64) {
-	fg := r.flat[fi]
-	if finishAt > r.tops[fg.circuit] {
-		r.tops[fg.circuit] = finishAt
-	}
-	if finishAt > r.makespan {
-		r.makespan = finishAt
-	}
-	r.k.AtFire(iontrap.Microseconds(finishAt), sim.PriorityNormal, r, fi)
-}
-
-func (r *replayState) completed(fi int) {
-	finishAt := float64(r.k.Now())
-	fg := r.flat[fi]
-	r.finished++
-	for _, s := range r.dags[fg.circuit].Succ[fg.gate] {
-		si := r.offs[fg.circuit] + s
-		if finishAt > r.ready[si] {
-			r.ready[si] = finishAt
-		}
-		r.indeg[si]--
-		if r.indeg[si] == 0 {
-			r.rq.Push(sim.Task{Index: si, Ready: r.ready[si]})
-			r.scheduleDispatch()
-		}
-	}
-	if r.finished == r.total {
-		r.k.Stop()
-	}
-}
-
-func (r *replayState) granted(fi int) {
-	issue := float64(r.k.Now())
-	fg := r.flat[fi]
-	p := r.pend[fi]
-	r.waits[fg.circuit] += issue - p.start
-	r.finishGate(fi, issue+p.weight)
-}
-
-func (r *replayState) dispatch() {
-	r.dispatchScheduled = false
-	for r.rq.Len() > 0 {
-		item := r.rq.Pop()
-		fi := item.Index
-		fg := r.flat[fi]
-		g := r.cs[fg.circuit].Gates[fg.gate]
-		start := item.Ready
-		weight := float64(r.m.GateWeightSpeedOfData(g))
-		r.run.Results[fg.circuit].AncillaeConsumed += r.m.ZeroAncillaePerQEC
-		if r.fluid {
-			issue := start
-			if t := r.fluidSrc.AvailableAt(r.perGate); t > issue {
-				issue = t
-			}
-			r.waits[fg.circuit] += issue - start
-			r.finishGate(fi, issue+weight)
-		} else {
-			r.pend[fi] = pendIssue{start: start, weight: weight}
-			r.buffer.AcquireFire(r.perGate, r, r.total+fi)
-		}
-	}
-}
-
-// grow resizes the flattened per-gate and per-circuit arrays, reusing
-// capacity across pooled runs.
-func (r *replayState) grow(total, circuits int) {
-	r.total = total
-	if cap(r.flat) < total {
-		r.flat = make([]flatGate, total)
-		r.ready = make([]float64, total)
-		r.indeg = make([]int, total)
-		r.pend = make([]pendIssue, total)
-	}
-	r.flat = r.flat[:total]
-	r.ready = r.ready[:total]
-	r.indeg = r.indeg[:total]
-	r.pend = r.pend[:total]
-	for i := range r.ready {
-		r.ready[i] = 0
-	}
-	if cap(r.dags) < circuits {
-		r.dags = make([]*quantum.DAG, circuits)
-		r.offs = make([]int, circuits)
-		r.waits = make([]float64, circuits)
-		r.tops = make([]float64, circuits)
-	}
-	r.dags = r.dags[:circuits]
-	r.offs = r.offs[:circuits]
-	r.waits = r.waits[:circuits]
-	r.tops = r.tops[:circuits]
-	for i := 0; i < circuits; i++ {
-		r.waits[i], r.tops[i] = 0, 0
-	}
+// run executes gate fi once its ancillae arrive at issue.
+func (s *sharedModel) run(fi int, ready, issue float64) {
+	ci, g := s.d.Gate(fi)
+	s.res[ci].AncillaWait += iontrap.Microseconds(issue - ready)
+	s.d.Finish(fi, issue+float64(s.m.GateWeightSpeedOfData(g)))
 }
 
 // ReplayShared co-schedules several circuits against one shared ancilla
@@ -278,100 +165,42 @@ func ReplayShared(cs []*quantum.Circuit, m LatencyModel, supply Supply) (ReplayR
 	if len(cs) == 0 {
 		return ReplayRun{}, fmt.Errorf("schedule: no circuits to replay")
 	}
-
-	run := ReplayRun{Results: make([]ReplayResult, len(cs))}
-	total := 0
 	for _, c := range cs {
 		if err := c.Validate(); err != nil {
 			return ReplayRun{}, err
 		}
-		total += len(c.Gates)
 	}
-
-	r := replayStatePool.Get().(*replayState)
-	defer func() {
-		r.k, r.rq, r.cs, r.run, r.buffer, r.producer = nil, nil, nil, nil, nil, nil
-		for i := range r.dags {
-			r.dags[i] = nil
-		}
-		replayStatePool.Put(r)
-	}()
-	r.m, r.cs, r.run = m, cs, &run
-	r.finished, r.makespan, r.dispatchScheduled = 0, 0, false
-	r.grow(total, len(cs))
-
-	fi := 0
+	run := ReplayRun{Results: make([]ReplayResult, len(cs))}
 	for ci, c := range cs {
-		r.dags[ci] = c.DAG()
-		r.offs[ci] = fi
-		for gi := range c.Gates {
-			r.flat[fi] = flatGate{circuit: ci, gate: gi}
-			fi++
-		}
-		res := &run.Results[ci]
-		res.Name = c.Name
-		res.Gates = len(c.Gates)
-		_, sod := r.dags[ci].WeightedCriticalPath(func(g quantum.Gate) float64 {
-			return float64(m.GateWeightSpeedOfData(g))
-		})
-		res.SpeedOfData = iontrap.Microseconds(sod)
-		for _, g := range c.Gates {
-			res.DataOpBusy += m.DataOpLatency(g)
-			res.QECInteractBusy += m.QECInteractLatency()
-		}
+		run.Results[ci] = BaseResult(c, m)
 	}
-	if total == 0 {
+	d := sim.AcquireReplay(cs)
+	defer d.Release()
+	if d.Total() == 0 {
 		return run, nil
 	}
 
-	r.k = sim.AcquireKernel()
-	defer r.k.Release()
-	r.rq = sim.AcquireTaskQueue()
-	defer r.rq.Release()
-
-	ratePerUs := supply.RatePerMs / 1000.0
-	r.perGate = float64(m.ZeroAncillaePerQEC)
-	r.fluid = supply.BufferAncillae <= 0
-	if r.fluid {
-		if err := r.fluidSrc.Reset(ratePerUs); err != nil {
-			return ReplayRun{}, err
-		}
-	} else {
-		r.buffer = sim.NewResource(r.k, "shared zero supply", supply.BufferAncillae)
-		producer, err := sim.NewProducer(r.k, "shared zero supply", r.buffer, ratePerUs, 1)
-		if err != nil {
-			return ReplayRun{}, err
-		}
-		r.producer = producer
-		producer.Start()
+	s := sharedModelPool.Get().(*sharedModel)
+	defer func() {
+		s.d, s.res = nil, nil
+		sharedModelPool.Put(s)
+	}()
+	s.d, s.m, s.res = d, m, run.Results
+	rates := [1]float64{supply.RatePerMs / 1000.0}
+	if err := s.supply.Reset(d.Kernel(), rates[:], supply.BufferAncillae,
+		func(int) string { return "shared zero supply" }); err != nil {
+		return ReplayRun{}, err
 	}
-
-	for ci, d := range r.dags {
-		copy(r.indeg[r.offs[ci]:r.offs[ci]+len(d.InDegree)], d.InDegree)
-	}
-	for i, d := range r.indeg {
-		if d == 0 {
-			r.rq.Push(sim.Task{Index: i, Ready: 0})
-		}
-	}
-	r.k.AtFire(0, sim.PriorityLate, r, replayDispatchIdx)
-	r.dispatchScheduled = true
-	stats := r.k.Run()
-
-	if r.finished != total {
-		return ReplayRun{}, fmt.Errorf("schedule: replay left %d gates unexecuted (cyclic dependence graph?)", total-r.finished)
+	stats, err := d.Run(s)
+	if err != nil {
+		return ReplayRun{}, err
 	}
 	for ci := range cs {
-		run.Results[ci].ExecutionTime = iontrap.Microseconds(r.tops[ci])
-		run.Results[ci].AncillaWait = iontrap.Microseconds(r.waits[ci])
+		run.Results[ci].ExecutionTime = d.CircuitMakespan(ci)
 	}
-	run.Makespan = iontrap.Microseconds(r.makespan)
+	run.Makespan = d.Makespan()
 	run.Events = stats.Events
-	if r.producer != nil {
-		run.ProducerStall = r.producer.StallTime()
-	}
-	if r.buffer != nil {
-		run.BufferHighWater = r.buffer.HighWater()
-	}
+	run.ProducerStall = s.supply.StallTime()
+	run.BufferHighWater = s.supply.HighWater()
 	return run, nil
 }

@@ -204,3 +204,44 @@ func TestReplayEdgeCases(t *testing.T) {
 		t.Errorf("zero-rate replay error = %v", err)
 	}
 }
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// ReplayShared runs on the pooled sim.Replay driver and a pooled issue hook,
+// so with a fluid supply its allocations are a constant handful per run —
+// the result slice and the dataflow-bound bookkeeping — whatever the gate
+// count.  The budget of 7 is what the replay cost before the driver was
+// shared.
+func TestReplaySharedSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of pooled code are not fixed under -race")
+	}
+	m := DefaultLatencyModel()
+	perRun := map[int]float64{}
+	for _, bits := range []int{8, 32} {
+		c, err := circuits.Generate(circuits.QCLA, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := Characterize(c, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		supply := Supply{RatePerMs: ch.ZeroBandwidthPerMs / 2}
+		if _, err := Replay(c, m, supply); err != nil { // warm pools and caches
+			t.Fatal(err)
+		}
+		perRun[bits] = testing.AllocsPerRun(20, func() {
+			if _, err := Replay(c, m, supply); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if perRun[8] != perRun[32] {
+		t.Errorf("allocations grow with the gate count: %v per run at 8 bits, %v at 32", perRun[8], perRun[32])
+	}
+	if perRun[32] > 7 {
+		t.Errorf("steady-state ReplayShared allocations = %v per run, want <= 7", perRun[32])
+	}
+}

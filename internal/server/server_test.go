@@ -165,6 +165,31 @@ func TestIgnoredParamsShareOneEntry(t *testing.T) {
 	}
 }
 
+// TestValueSpellingsShareOneEntry requests one Figure 15 result under two
+// spellings of its benchmark and architecture: the second request is a
+// single hit on the first one's entry and answers the same body.
+func TestValueSpellingsShareOneEntry(t *testing.T) {
+	ts, exp := newTestServer(t)
+	const q = "/v1/experiments/fig15?bits=8&scale=2&format=json"
+	status, want, _ := get(t, ts.URL+q+"&benchmark=QCLA&arch=Fully-Multiplexed")
+	if status != http.StatusOK {
+		t.Fatalf("canonical spelling: %d %s", status, want)
+	}
+	before := exp.Engine.Tiers()
+	status, body, _ := get(t, ts.URL+q+"&benchmark=qcla&arch=fm")
+	if status != http.StatusOK {
+		t.Fatalf("other spelling: %d %s", status, body)
+	}
+	after := exp.Engine.Tiers()
+	if after.MemoryHits != before.MemoryHits+1 || after.MemoryMisses != before.MemoryMisses ||
+		after.MemoryEntries != before.MemoryEntries {
+		t.Errorf("want 1 hit, 0 misses, 0 new entries; got tiers %+v -> %+v", before, after)
+	}
+	if body != want {
+		t.Errorf("bodies differ:\n%s\n%s", want, body)
+	}
+}
+
 func TestTextFormatMatchesCLIRenderer(t *testing.T) {
 	ts, exp := newTestServer(t)
 	status, body, ctype := get(t, ts.URL+"/v1/experiments/table1?format=text")

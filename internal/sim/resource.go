@@ -67,9 +67,8 @@ type request struct {
 	idx       int
 }
 
-// waiter is one registered OnSpace callback in either form.
+// waiter is one registered OnSpaceFire callback.
 type waiter struct {
-	fn  func()
 	h   Handler
 	idx int
 }
@@ -144,7 +143,7 @@ func (r *Resource) AcquireFire(n float64, h Handler, idx int) {
 
 // Put deposits up to n units, feeding pending requests directly and then the
 // buffer up to its capacity.  It returns the quantity accepted; producers
-// hold the remainder and re-Put when OnSpace signals room.
+// hold the remainder and re-Put when OnSpaceFire signals room.
 func (r *Resource) Put(n float64) float64 {
 	if n <= 0 {
 		return 0
@@ -216,11 +215,7 @@ func (r *Resource) drain() {
 		ws := r.waiters
 		r.waiters = nil
 		for _, w := range ws {
-			if w.h != nil {
-				w.h.Fire(w.idx)
-			} else {
-				w.fn()
-			}
+			w.h.Fire(w.idx)
 		}
 	}
 }
@@ -242,12 +237,9 @@ func (r *Resource) CancelAcquireFire(h Handler, idx int) bool {
 	return false
 }
 
-// OnSpace registers a one-shot callback invoked the next time buffered
-// quantity is consumed (i.e. space frees up).  Producers use it to resume
-// after stalling on a full buffer.
-func (r *Resource) OnSpace(fn func()) { r.waiters = append(r.waiters, waiter{fn: fn}) }
-
-// OnSpaceFire is the allocation-free form of OnSpace.
+// OnSpaceFire registers a one-shot h.Fire(idx) invoked the next time
+// buffered quantity is consumed (i.e. space frees up).  Producers use it to
+// resume after stalling on a full buffer.
 func (r *Resource) OnSpaceFire(h Handler, idx int) {
 	r.waiters = append(r.waiters, waiter{h: h, idx: idx})
 }

@@ -1,8 +1,10 @@
 // Package sim is the deterministic discrete-event simulation kernel behind
 // the event-driven execution models: a monotonic event queue keyed by
-// iontrap.Microseconds with stable tie-breaking, plus the resource
-// abstractions (finite ancilla buffers, rate-limited producers, fluid
-// sources) that the factory, microarch and schedule layers plug into.
+// iontrap.Microseconds with stable tie-breaking, the resource abstractions
+// (finite ancilla buffers, rate-limited producers, fluid sources) that the
+// factory, microarch, schedule and network layers plug into, and Replay, the
+// one event-driven driver that list-schedules gate DAGs against a
+// SupplyBank for the microarch, schedule and network models.
 //
 // The closed-form analyses of Sections 3-5 treat ancilla generation as an
 // infinitely buffered token bucket; this kernel removes that assumption so

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -248,6 +249,10 @@ func (s *Store) scan(f *os.File) (valid int64, headerOK bool) {
 		}
 		off = int64(headerLen)
 	}
+	size := int64(math.MaxInt64)
+	if fi, err := f.Stat(); err == nil {
+		size = fi.Size()
+	}
 	var hdr [recHdrLen]byte
 	for {
 		if _, err := io.ReadFull(io.NewSectionReader(f, off, recHdrLen), hdr[:]); err != nil {
@@ -255,7 +260,9 @@ func (s *Store) scan(f *os.File) (valid int64, headerOK bool) {
 		}
 		bodyLen := int64(binary.LittleEndian.Uint32(hdr[:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if bodyLen <= 0 || bodyLen > maxRecordBytes {
+		// A length running past the end of the file is a torn header:
+		// reject it before allocating a body it cannot fill.
+		if bodyLen <= 0 || bodyLen > maxRecordBytes || bodyLen > size-off-recHdrLen {
 			return off, true
 		}
 		body := make([]byte, bodyLen)

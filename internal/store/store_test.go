@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -153,6 +154,35 @@ func TestCorruptRecordTruncated(t *testing.T) {
 	wantGet(t, s2, "a", testPayload{N: 1})
 	wantGet(t, s2, "b", testPayload{N: 2})
 	wantMiss(t, s2, "c")
+}
+
+// A torn record header whose length prefix runs past the end of the file
+// is a torn tail: Open truncates it without allocating a body of that
+// length (just under the 1 GiB record cap here, in a 20-byte file).
+func TestTornLengthNotAllocated(t *testing.T) {
+	dir := t.TempDir()
+	s := openWriter(t, dir, Options{})
+	s.Close()
+	path := filepath.Join(dir, segmentName)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xff, 0xff, 0xff, 0x3f, 0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2 := openWriter(t, dir, Options{})
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("Open allocated %d bytes for a torn 8-byte header", n)
+	}
+	if got := s2.Stats().FileBytes; got != int64(headerLen) {
+		t.Errorf("file is %d bytes after Open, want the %d-byte header", got, headerLen)
+	}
 }
 
 func TestVersionBumpInvalidates(t *testing.T) {
